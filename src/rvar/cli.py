@@ -3,7 +3,7 @@
 Subcommands: uni, curve, empirical, simulate, sensitivity.  Any option can
 also come from a flat key=value config file via --config; explicit flags
 win.  Exit codes: 0 on success, 2 for domain or configuration problems,
-3 for malformed input data.
+3 for malformed input data or an input or config file that cannot be read.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -88,29 +88,16 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        kv = {}
-        for i, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"config line {i} is not key=value: {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in known:
-                raise DomainError(f"unknown config key {key!r}")
-            kv[key] = value.strip()
+        kv = _parse_config(text)
         if "command" not in kv:
             raise DomainError("config text lacks a command")
         return cls(**kv)
 
 
-def _merge_config(cfg: RunConfig, path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+def _parse_config(text: str) -> dict:
+    """Run fields from flat key=value lines; blank lines and # comments skipped."""
     known = {f.name for f in fields(RunConfig)}
-    overrides = {}
+    kv = {}
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -121,15 +108,20 @@ def _merge_config(cfg: RunConfig, path: str) -> RunConfig:
         key = key.strip()
         if key not in known:
             raise DomainError(f"unknown config key {key!r}")
-        if key == "command":
-            continue
-        if getattr(cfg, key) is None:
-            overrides[key] = value.strip()
-    if not overrides:
-        return cfg
-    current = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    current.update(overrides)
-    return RunConfig(**current)
+        kv[key] = value.strip()
+    return kv
+
+
+def _merge_config(cfg: RunConfig, path: str) -> RunConfig:
+    """Fill the fields cfg leaves unset from a config file; its command is ignored."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot open config file: {exc}", line=0)
+    kv = _parse_config(text)
+    kv.pop("command", None)
+    return replace(cfg, **{k: v for k, v in kv.items() if getattr(cfg, k) is None})
 
 
 _MARGIN_KEYS = {

@@ -41,8 +41,8 @@ class Gumbel:
     theta: float
 
     def __post_init__(self):
-        if self.theta < 1.0:
-            raise DomainError(f"Gumbel copula requires theta >= 1, got {self.theta}")
+        if not (math.isfinite(self.theta) and self.theta >= 1.0):
+            raise DomainError(f"Gumbel copula requires a finite theta >= 1, got {self.theta}")
 
 
 COPULA_TYPES = (Independence, Comonotone, Countermonotone, Gumbel)

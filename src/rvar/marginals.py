@@ -15,7 +15,7 @@ singleton distinct from every float; callers test with is_divergent().
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -70,6 +70,14 @@ class LevelRange:
         return self.alpha2 - self.alpha1
 
 
+def _require_finite(model) -> None:
+    """Raise DomainError unless every parameter of a model is finite."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if not math.isfinite(value):
+            raise DomainError(f"{type(model).__name__} {f.name} must be finite, got {value}")
+
+
 def _check_prob_open(p: float, name: str = "p"):
     if not (0.0 < p < 1.0):
         raise DomainError(f"{name} must lie in (0, 1), got {p}")
@@ -88,6 +96,7 @@ class GEV:
     xi: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.sigma <= 0:
             raise DomainError(f"GEV sigma must be > 0, got {self.sigma}")
 
@@ -160,6 +169,7 @@ class GPDTail:
     zeta_u: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.sigma <= 0:
             raise DomainError(f"GPDTail sigma must be > 0, got {self.sigma}")
         if not (0.0 < self.zeta_u <= 1.0):
@@ -228,6 +238,7 @@ class Weibull:
     scale: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.shape <= 0 or self.scale <= 0:
             raise DomainError(
                 f"Weibull shape and scale must be > 0, got "
@@ -268,6 +279,7 @@ class Exponential:
     lam: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam <= 0:
             raise DomainError(f"Exponential rate must be > 0, got {self.lam}")
 
@@ -306,6 +318,7 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.lo < self.hi:
             raise DomainError(f"Uniform needs lo < hi, got ({self.lo}, {self.hi})")
 

@@ -2,8 +2,10 @@
 
 Everything here is coded from first principles: quantiles are fresh
 formulas or brentq inversions, level integrals use their own tail
-substitution, and sensitivities come from explicit epsilon-mixtures.
-Nothing routes through the package's closed forms.
+substitution, sensitivities come from explicit epsilon-mixtures, and
+the empirical estimators are re-derived by masking and sorting at every
+call.  Nothing routes through the package's closed forms; only its error
+types are shared, so that tests can compare which error was raised.
 """
 
 from __future__ import annotations
@@ -14,6 +16,13 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
+
+from rvar.errors import (
+    DegenerateRangeError,
+    DomainError,
+    EmptyConditioningError,
+    InfeasibleLevelError,
+)
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
@@ -216,3 +225,102 @@ def sens_band_oracle(cond_q, cond_cdf, w1, w2, scale, z):
         return scale * mixture_band_integral(cond_q, cond_cdf, z, eps, w1, w2) / (w2 - w1)
 
     return richardson_sens(value)
+
+
+# brute-force empirical estimators: mask the conditioned rows, then sort
+# them, at every call.  These are the package's original estimator bodies,
+# kept as the reference for the rank-index implementation.
+
+_INDEX_FUZZ = 1e-9
+
+
+def _conditioned_sorted(data, x_fixed, free_index, above):
+    n, d = data.shape
+    if not 1 <= free_index <= d:
+        raise DomainError(f"free_index must be in 1..{d}, got {free_index}")
+    fc = free_index - 1
+    others = [c for c in range(d) if c != fc]
+    x = np.asarray(x_fixed, dtype=float).reshape(-1)
+    if x.size == 1:
+        x = np.full(len(others), float(x[0]))
+    if x.size != len(others):
+        raise DomainError(f"x_fixed must supply {len(others)} pinned coordinates")
+    other_data = data[:, others]
+    mask = np.all(other_data > x, axis=1) if above else np.all(other_data <= x, axis=1)
+    return np.sort(data[mask, fc])
+
+
+def bf_marginal_quantile(data, col, p):
+    n, d = data.shape
+    if not 1 <= col <= d:
+        raise DomainError(f"col must be in 1..{d}, got {col}")
+    if not 0.0 < p <= 1.0:
+        raise DomainError(f"p must lie in (0, 1], got {p}")
+    vals = np.sort(data[:, col - 1])
+    j = max(1, math.ceil(n * p - _INDEX_FUZZ))
+    return float(vals[min(j, n) - 1])
+
+
+def bf_lower_var(data, u, x_fixed, free_index=2):
+    n = data.shape[0]
+    if not 0.0 < u <= 1.0:
+        raise DomainError(f"u must lie in (0, 1], got {u}")
+    vals = _conditioned_sorted(data, x_fixed, free_index, above=False)
+    if vals.size == 0:
+        raise EmptyConditioningError("no observations at or below the pinned point")
+    j = max(1, math.ceil(n * u - _INDEX_FUZZ))
+    if j > vals.size:
+        raise InfeasibleLevelError(f"level u={u:.6g} is not attained")
+    return float(vals[j - 1])
+
+
+def bf_upper_var(data, v, x_fixed, free_index=2):
+    n = data.shape[0]
+    if not 0.0 < v <= 1.0:
+        raise DomainError(f"v must lie in (0, 1], got {v}")
+    vals = _conditioned_sorted(data, x_fixed, free_index, above=True)
+    if vals.size == 0:
+        raise EmptyConditioningError("no observations strictly above the pinned point")
+    k = vals.size
+    j = math.ceil(k - n * (1.0 - v) - _INDEX_FUZZ)
+    if j < 1:
+        raise InfeasibleLevelError(f"level v={v:.6g} is met below every observation")
+    return float(vals[min(j, k) - 1])
+
+
+def bf_lower_rvar(data, m, a1, a2, x_fixed, free_index=2):
+    n = data.shape[0]
+    vals = _conditioned_sorted(data, x_fixed, free_index, above=False)
+    if vals.size == 0:
+        raise EmptyConditioningError("no observations at or below the pinned point")
+    q2 = bf_marginal_quantile(data, free_index, a2)
+    top = float(np.count_nonzero(vals <= q2)) / n
+    if top <= a1 + 1e-12:
+        raise DegenerateRangeError(f"empirical band top {top:.6g} does not exceed alpha1")
+    step = (top - a1) / m
+    u = a1 + step * np.arange(1, m + 1)
+    j = np.maximum(1, np.ceil(n * u - _INDEX_FUZZ).astype(int))
+    if j[-1] > vals.size:
+        raise InfeasibleLevelError("level ladder exceeds the conditioned sample")
+    return float(np.mean(vals[j - 1]))
+
+
+def bf_upper_rvar(data, m, a1, a2, x_fixed, free_index=2):
+    n = data.shape[0]
+    vals = _conditioned_sorted(data, x_fixed, free_index, above=True)
+    if vals.size == 0:
+        raise EmptyConditioningError("no observations strictly above the pinned point")
+    k = vals.size
+    if a1 <= 0.0:
+        bottom = 1.0 - k / n
+    else:
+        q1 = bf_marginal_quantile(data, free_index, a1)
+        bottom = 1.0 - float(np.count_nonzero(vals > q1)) / n
+    if bottom >= a2 - 1e-12:
+        raise DegenerateRangeError(f"empirical band bottom {bottom:.6g} reaches alpha2")
+    step = (a2 - bottom) / m
+    v = bottom + step * np.arange(1, m + 1)
+    j = np.ceil(k - n * (1.0 - v) - _INDEX_FUZZ).astype(int)
+    if np.any(j < 1):
+        raise InfeasibleLevelError("level ladder is met below the conditioned sample")
+    return float(np.mean(vals[np.minimum(j, k) - 1]))

@@ -70,6 +70,12 @@ def test_domain_error_exit_code(capsys):
         "--alpha1", "0.99", "--alpha2", "0.9"])
     assert code == 2
     assert err.startswith("error:")
+    # a non-finite parameter is a domain error, not a silent NA
+    code, out, err = run_cli(capsys, [
+        "uni", "--gev", "mu=0", "sigma=nan", "xi=0.2", "--measure", "var",
+        "--alpha", "0.9"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_curve_csv_schema(capsys, tmp_path):
@@ -258,6 +264,12 @@ def test_config_file_fills_unset_flags(capsys, tmp_path):
         "uni", "--alpha", "0.95", "--config", str(cfg_file)])
     assert code == 0
     assert out.strip() == f"{uni_var(GEV(0.0, 1.0, 0.2), 0.95):.10g}"
+
+
+def test_missing_config_file_exit_3(capsys, tmp_path):
+    code, _, err = run_cli(capsys, ["uni", "--config", str(tmp_path / "missing.cfg")])
+    assert code == 3
+    assert err.startswith("input error") and "config file" in err
 
 
 def test_parse_margin_and_copula():

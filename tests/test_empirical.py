@@ -2,8 +2,11 @@
 
 import math
 
+import _oracles as orc
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rvar import (
     GEV,
@@ -48,10 +51,10 @@ def test_sample_matrix_validation():
 def test_estimator_config_validation():
     cfg = EstimatorConfig(100, LevelRange(0.9, 0.99))
     assert cfg.m == 100
-    with pytest.raises(DomainError):
-        EstimatorConfig(0, LevelRange(0.9, 0.99))
-    with pytest.raises(DomainError):
-        EstimatorConfig(2.5, LevelRange(0.9, 0.99))
+    assert EstimatorConfig(np.int64(5), LevelRange(0.9, 0.99)).m == 5
+    for bad in (0, 2.5, True, np.bool_(True)):
+        with pytest.raises(DomainError):
+            EstimatorConfig(bad, LevelRange(0.9, 0.99))
 
 
 def test_ecdf_and_esurv_by_hand():
@@ -210,3 +213,73 @@ def test_free_index_one_conditions_on_second_coordinate():
     assert emp_lower_var(s, 0.5, 20.0, free_index=1) == 2.0
     with pytest.raises(InfeasibleLevelError):
         emp_lower_var(s, 0.75, 20.0, free_index=1)
+
+
+def test_sample_data_is_a_read_only_copy():
+    a = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
+    s = SampleMatrix(a)
+    cfg = EstimatorConfig(4, LevelRange(0.5, 1.0))
+    assert emp_lower_rvar(s, cfg, 4.0) == 5.0
+    a[:, 1] *= 10  # the caller's array stays theirs; the sample and its index do not move
+    assert emp_lower_rvar(s, cfg, 4.0) == 5.0
+    assert marginal_quantile(s, 2, 1.0) == 5.0
+    assert not s.data.flags.writeable
+    with pytest.raises(ValueError):
+        s.data[0, 1] = 50.0
+
+
+def _outcome(fn, *args):
+    """Estimate, or the type of the DomainError it raised."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+@st.composite
+def _estimator_cases(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):  # integer-rounded data: heavy ties, also at the pins
+        elements = st.integers(-3, 3).map(float)
+    else:
+        elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    data = np.array(draw(st.lists(st.lists(elements, min_size=d, max_size=d),
+                                  min_size=n, max_size=n)))
+    pin = st.one_of(st.sampled_from(data.ravel().tolist()), st.floats(-5.0, 5.0))
+    if d == 3 and draw(st.booleans()):
+        x_fixed = np.array([draw(pin), draw(pin)])
+    else:
+        x_fixed = draw(pin)
+    level = st.one_of(st.integers(1, n).map(lambda i: i / n), st.floats(0.0, 1.0))
+    a1, a2 = sorted((draw(level), draw(level)))
+    if a1 == a2:
+        a2 = 1.0 if a1 < 1.0 else a2
+        a1 = 0.0 if a1 == a2 else a1
+    return dict(data=data, free_index=draw(st.integers(1, d)), x_fixed=x_fixed,
+                u=draw(level), m=draw(st.integers(1, 30)), a1=a1, a2=a2,
+                col=draw(st.integers(1, d)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimator_cases())
+# the upper ladder's first rung lands on the index fuzz, at the order
+# statistic just below the alpha1 quantile's rank
+@example(dict(data=np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]]),
+              free_index=2, x_fixed=0.0, u=0.5, m=1, a1=0.5, a2=0.5 + 1e-10, col=2))
+def test_estimators_match_mask_and_sort_reference(case):
+    data, fi, x, u = case["data"], case["free_index"], case["x_fixed"], case["u"]
+    cfg = EstimatorConfig(case["m"], LevelRange(case["a1"], case["a2"]))
+    s = SampleMatrix(data)  # one sample serves every query, so its index is reused
+    pairs = [
+        (_outcome(marginal_quantile, s, case["col"], u),
+         _outcome(orc.bf_marginal_quantile, data, case["col"], u)),
+        (_outcome(emp_lower_var, s, u, x, fi), _outcome(orc.bf_lower_var, data, u, x, fi)),
+        (_outcome(emp_upper_var, s, u, x, fi), _outcome(orc.bf_upper_var, data, u, x, fi)),
+        (_outcome(emp_lower_rvar, s, cfg, x, fi),
+         _outcome(orc.bf_lower_rvar, data, cfg.m, cfg.levels.alpha1, cfg.levels.alpha2, x, fi)),
+        (_outcome(emp_upper_rvar, s, cfg, x, fi),
+         _outcome(orc.bf_upper_rvar, data, cfg.m, cfg.levels.alpha1, cfg.levels.alpha2, x, fi)),
+    ]
+    for got, want in pairs:
+        assert type(got) is type(want) and got == want

@@ -14,6 +14,7 @@ from rvar import (
     GPDTail,
     DomainError,
     Exponential,
+    Gumbel,
     LevelRange,
     Uniform,
     Weibull,
@@ -45,6 +46,26 @@ def test_level_range_validation():
             LevelRange(*bad)
     # alpha2 = 1 is a legal tail range
     LevelRange(0.95, 1.0)
+
+
+@pytest.mark.parametrize("make,params", [
+    (GEV, (0.0, math.nan, 0.2)),
+    (GEV, (0.0, 1.0, math.nan)),
+    (GEV, (math.inf, 1.0, 0.2)),
+    (GPDTail, (5.0, 2.0, math.nan, 0.1)),
+    (GPDTail, (-math.inf, 2.0, 0.25, 0.1)),
+    (Weibull, (math.nan, 50.0)),
+    (Weibull, (2.0, math.inf)),
+    (Exponential, (math.nan,)),
+    (Exponential, (math.inf,)),
+    (Uniform, (-math.inf, 3.0)),
+    (Uniform, (-1.0, math.nan)),
+    (Gumbel, (math.nan,)),
+    (Gumbel, (math.inf,)),
+])
+def test_non_finite_parameters_are_domain_errors(make, params):
+    with pytest.raises(DomainError):
+        make(*params)
 
 
 @pytest.mark.parametrize("m", ALL_MODELS, ids=lambda m: type(m).__name__ + repr(m))
