@@ -40,13 +40,16 @@ def main():
     print()
 
     print("Dependence matters: at a fixed conditioning point, stronger positive")
-    print("dependence lowers the lower-orthant measure:")
-    x = 70.0
+    print("dependence lowers the lower-orthant measure and raises the upper one.")
+    # each measure needs its own feasible point: under the comonotone copula
+    # the lower band [.95, .99] needs F1(x1) > 0.95, the upper [.5, .95] F1(x1) < 0.95
+    x_lower, x_upper = 100.0, 50.0
+    print(f"  {'':<13} lower at x1 = {x_lower:g}   upper[.5,.95] at x1 = {x_upper:g}")
     for name, cop in (("independence", Independence()), ("gumbel 1.5", Gumbel(1.5)), ("comonotone", Comonotone())):
         m = BivariateModel(Weibull(2.0, 50.0), Weibull(2.0, 150.0), cop)
-        lo = lower_rvar(m, band, x)
-        hi = upper_rvar(m, LevelRange(0.5, 0.95), x)
-        print(f"  {name:<13} lower = {lo:10.4f}   upper[.5,.95] = {hi:10.4f}")
+        lo = lower_rvar(m, band, x_lower)
+        hi = upper_rvar(m, LevelRange(0.5, 0.95), x_upper)
+        print(f"  {name:<13} {lo:18.4f}   {hi:24.4f}")
     print()
 
     print("Comonotonic aggregation: the measure of a sum of commonly-ranked")

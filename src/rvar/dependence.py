@@ -65,8 +65,14 @@ def copula_cdf(c, u: float, v: float) -> float:
             return v
         if v == 1.0:
             return u
-        a = (-math.log(u)) ** c.theta + (-math.log(v)) ** c.theta
-        return math.exp(-(a ** (1.0 / c.theta)))
+        lu, lv = -math.log(u), -math.log(v)
+        if lu < lv:  # order so that u = min(u, v)
+            u, lu, lv = v, lv, lu
+        # ((-ln u)^theta + (-ln v)^theta)^(1/theta) with the larger term
+        # factored out, so it neither under- nor overflows at large theta
+        val = math.exp(-lu * (1.0 + (lv / lu) ** c.theta) ** (1.0 / c.theta))
+        # the exp(ln u) round trip can land a few ulps above the bound min(u, v)
+        return val if val < u else u
     raise DomainError(f"unknown copula {c!r}")
 
 

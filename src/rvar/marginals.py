@@ -5,29 +5,25 @@ Uniform. Measures: VaR (quantile), TVaR, RVaR, and the TVaR/VaR ratio
 with its shape-driven limit.
 
 RVaR over [a1, a2] is the average of the quantile over that level range.
-GEV and GPD tails get closed forms (incomplete gamma / logarithmic
-integral expressions); everything else integrates the quantile by
-adaptive quadrature with a t = -ln(1-u) substitution near u = 1.
+Every family has it in closed form (``band_mean``): incomplete gamma and
+logarithmic integral expressions for GEV and Weibull, elementary ones for
+the GPD tail, the exponential and the uniform.
 
 Divergent tail expectations are reported by the DIVERGES marker, a typed
 singleton distinct from every float; callers test with is_divergent().
 """
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError
-from .specfun import EULER_GAMMA, log_integral, upper_incomplete_gamma
+from .specfun import EULER_GAMMA, incomplete_gamma_band, log_integral, upper_incomplete_gamma
 
 # shape values within this distance of zero route to the xi = 0 formulas;
 # cancellation in ((-ln p)^(-xi) - 1)/xi costs ~1e-16/|xi| relative error
 XI_ZERO_TOL = 1e-8
-
-_QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
 
 
 class _Divergent:
@@ -135,6 +131,20 @@ class GEV:
             return self.mu - self.sigma * np.log(t)
         return self.mu + self.sigma * np.expm1(-self.xi * np.log(t)) / self.xi
 
+    def band_mean(self, a1: float, a2: float):
+        """Average quantile over [a1, a2] (the forms are listed in uni_rvar)."""
+        width = a2 - a1
+        if abs(self.xi) < XI_ZERO_TOL:
+            if a2 >= 1.0:
+                return DIVERGES  # li(x) singularity at x = 1
+            bracket = _xlnln(a2) - _xlnln(a1) - log_integral(a2) + log_integral(a1)
+            return self.mu - self.sigma / width * bracket
+        if a2 >= 1.0 and self.xi >= 1.0:
+            return DIVERGES
+        g2 = upper_incomplete_gamma(1.0 - self.xi, 0.0 if a2 >= 1.0 else -math.log(a2))
+        g1 = upper_incomplete_gamma(1.0 - self.xi, -math.log(a1)) if a1 > 0 else 0.0
+        return self.mu - self.sigma / (self.xi * width) * (width - g2 + g1)
+
     def mean(self):
         if self.xi >= 1.0:
             return DIVERGES
@@ -214,6 +224,30 @@ class GPDTail:
             return self.u - self.sigma * log_r
         return self.u + self.sigma * np.expm1(-self.xi * log_r) / self.xi
 
+    def band_mean(self, a1: float, a2: float):
+        """Average quantile over [a1, a2], both levels in the tail."""
+        if a1 < 1.0 - self.zeta_u:
+            raise DomainError(
+                f"GPDTail levels must reach the tail: need alpha >= "
+                f"{1.0 - self.zeta_u}, got {a1}"
+            )
+        if a2 >= 1.0 and self.xi >= 1.0:
+            return DIVERGES
+        width = a2 - a1
+        if a2 < 1.0 and abs(self.xi - 1.0) < XI_ZERO_TOL:
+            # the generic form is 0/0 at xi = 1; its limit:
+            return (
+                self.u
+                - self.sigma
+                + self.sigma * self.zeta_u * math.log((1.0 - a1) / (1.0 - a2)) / width
+            )
+        shift = (self.sigma - self.xi * self.u) / (1.0 - self.xi)
+        v1 = self.quantile(a1)
+        if a2 >= 1.0:
+            return v1 / (1.0 - self.xi) + shift
+        v2 = self.quantile(a2)
+        return ((1.0 - a1) * v1 - (1.0 - a2) * v2) / (width * (1.0 - self.xi)) + shift
+
     def mean(self):
         raise DomainError(
             "GPDTail models only the region above the threshold; "
@@ -261,6 +295,12 @@ class Weibull:
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
 
+    def band_mean(self, a1: float, a2: float) -> float:
+        """Average quantile over [a1, a2]: lam (Gamma(1+1/k, t) from t2 to t1) / w."""
+        t1 = -math.log1p(-a1)
+        t2 = math.inf if a2 >= 1.0 else -math.log1p(-a2)
+        return self.scale * incomplete_gamma_band(1.0 + 1.0 / self.shape, t1, t2) / (a2 - a1)
+
     def mean(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
@@ -298,6 +338,17 @@ class Exponential:
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         return -np.log1p(-p) / self.lam
+
+    def band_mean(self, a1: float, a2: float) -> float:
+        """Average quantile over [a1, a2]: [(1+t1)(1-a1) - (1+t2)(1-a2)] / (lam w)."""
+        t1 = -math.log1p(-a1)
+        t2 = math.inf if a2 >= 1.0 else -math.log1p(-a2)
+        if a1 < 0.5:
+            # (1+t) e^-t is Gamma(2, t); its difference cancels for narrow
+            # bands near level 0, where the lower incomplete gamma does not
+            return incomplete_gamma_band(2.0, t1, t2) / (self.lam * (a2 - a1))
+        upper2 = 0.0 if a2 >= 1.0 else (1.0 + t2) * (1.0 - a2)
+        return ((1.0 + t1) * (1.0 - a1) - upper2) / (self.lam * (a2 - a1))
 
     def mean(self) -> float:
         return 1.0 / self.lam
@@ -340,6 +391,10 @@ class Uniform:
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         return self.lo + p * (self.hi - self.lo)
 
+    def band_mean(self, a1: float, a2: float) -> float:
+        """Average quantile over [a1, a2]: lo + (hi - lo)(a1 + a2)/2."""
+        return self.lo + (self.hi - self.lo) * 0.5 * (a1 + a2)
+
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -354,50 +409,10 @@ class Uniform:
 MARGINAL_TYPES = (GEV, GPDTail, Weibull, Exponential, Uniform)
 
 
-def cdf(m, x: float) -> float:
-    return m.cdf(x)
-
-
-def quantile(m, p: float) -> float:
-    return m.quantile(p)
-
-
-def mean(m):
-    return m.mean()
-
-
 def uni_var(m, alpha: float) -> float:
     """VaR_alpha(X) = inf{x : F(x) >= alpha}, the alpha-quantile."""
     _check_prob_open(alpha, "alpha")
     return m.quantile(alpha)
-
-
-def _quantile_integral(m, a1: float, a2: float) -> float:
-    """Integral of the quantile function over [a1, a2] (not averaged).
-
-    Splits at 0.99 and substitutes t = -ln(1-u) above it, so the
-    integrand is evaluated through the survival side where 1 - e^{-t}
-    would round to 1.
-    """
-    cut = 0.99
-    total = 0.0
-    head_hi = min(a2, cut)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if a1 < head_hi:
-            total += quad(m.quantile, a1, head_hi, **_QUAD_OPTS)[0]
-        if a2 > cut or a2 == 1.0:
-            ta = -math.log1p(-max(a1, cut))
-            tb = math.inf if a2 >= 1.0 else -math.log1p(-a2)
-
-            def integrand(t):
-                s = math.exp(-t)
-                if s <= 0.0:
-                    return 0.0
-                return m.sf_quantile(s) * s
-
-            total += quad(integrand, ta, tb, **_QUAD_OPTS)[0]
-    return total
 
 
 def _xlnln(a: float) -> float:
@@ -407,59 +422,23 @@ def _xlnln(a: float) -> float:
     return a * math.log(-math.log(a))
 
 
-def _gev_rvar_closed(m: GEV, a1: float, a2: float):
-    if abs(m.xi) < XI_ZERO_TOL:
-        if a2 >= 1.0:
-            return DIVERGES  # li(x) singularity at x = 1
-        width = a2 - a1
-        bracket = _xlnln(a2) - _xlnln(a1) - log_integral(a2) + log_integral(a1)
-        return m.mu - m.sigma / width * bracket
-    if a2 >= 1.0 and m.xi >= 1.0:
-        return DIVERGES
-    width = a2 - a1
-    g2 = upper_incomplete_gamma(1.0 - m.xi, 0.0 if a2 >= 1.0 else -math.log(a2))
-    g1 = upper_incomplete_gamma(1.0 - m.xi, -math.log(a1)) if a1 > 0 else 0.0
-    return m.mu - m.sigma / (m.xi * width) * (width - g2 + g1)
-
-
-def _gpd_rvar_closed(m: GPDTail, a1: float, a2: float):
-    if a1 < 1.0 - m.zeta_u:
-        raise DomainError(
-            f"GPDTail levels must reach the tail: need alpha >= "
-            f"{1.0 - m.zeta_u}, got {a1}"
-        )
-    if a2 >= 1.0:
-        if m.xi >= 1.0:
-            return DIVERGES
-        v1 = m.quantile(a1)
-        return v1 / (1.0 - m.xi) + (m.sigma - m.xi * m.u) / (1.0 - m.xi)
-    width = a2 - a1
-    if abs(m.xi - 1.0) < XI_ZERO_TOL:
-        # the generic form is 0/0 at xi = 1; its limit:
-        return (
-            m.u
-            - m.sigma
-            + m.sigma * m.zeta_u * math.log((1.0 - a1) / (1.0 - a2)) / width
-        )
-    v1 = m.quantile(a1)
-    v2 = m.quantile(a2)
-    return ((1.0 - a1) * v1 - (1.0 - a2) * v2) / (width * (1.0 - m.xi)) + (
-        m.sigma - m.xi * m.u
-    ) / (1.0 - m.xi)
-
-
 def uni_rvar(m, levels: LevelRange):
-    """Average of VaR_u over u in [alpha1, alpha2].
+    """Average of VaR_u over u in [alpha1, alpha2], in closed form.
 
-    Closed forms for GEV and GPDTail, quadrature otherwise. With
-    alpha2 = 1 this is the TVaR and may return DIVERGES.
+    With w = alpha2 - alpha1 and t = -ln(1 - alpha) (t = -ln alpha for GEV):
+
+    - GEV(mu, sigma, xi): mu - sigma/(xi w) [w - Gamma(1-xi, t2) + Gamma(1-xi, t1)];
+      at xi = 0, mu - sigma/w [a ln(-ln a) - li(a)] taken from alpha1 to alpha2
+    - GPDTail(u, sigma, xi, zeta_u): [(1-alpha1) VaR_alpha1 - (1-alpha2) VaR_alpha2]
+      / (w (1-xi)) + (sigma - xi u)/(1-xi), for alpha1 >= 1 - zeta_u
+    - Weibull(k, lam): lam [Gamma(1+1/k, t1) - Gamma(1+1/k, t2)] / w
+    - Exponential(lam): [(1+t1)(1-alpha1) - (1+t2)(1-alpha2)] / (lam w)
+    - Uniform(lo, hi): lo + (hi - lo)(alpha1 + alpha2)/2
+
+    Gamma(s, t) is the upper incomplete gamma and li the logarithmic
+    integral. With alpha2 = 1 this is the TVaR and may return DIVERGES.
     """
-    a1, a2 = levels.alpha1, levels.alpha2
-    if isinstance(m, GEV):
-        return _gev_rvar_closed(m, a1, a2)
-    if isinstance(m, GPDTail):
-        return _gpd_rvar_closed(m, a1, a2)
-    return _quantile_integral(m, a1, a2) / levels.width
+    return m.band_mean(levels.alpha1, levels.alpha2)
 
 
 def uni_tvar(m, alpha: float):

@@ -10,13 +10,11 @@ everything else goes through root-finding plus quadrature.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
+from ._scipy import brentq, quad
 from .dependence import BivariateModel, Comonotone, Countermonotone, Gumbel, Independence, sample
 from .errors import (
     ComonotonicityError,
@@ -53,6 +51,11 @@ def _margins(b: BivariateModel, fixed_index: int):
     if fixed_index == 2:
         return b.margin2, b.margin1
     raise DomainError(f"fixed_index must be 1 or 2, got {fixed_index}")
+
+
+def _check_x_fixed(x_fixed: float) -> None:
+    if not math.isfinite(x_fixed):
+        raise DomainError(f"x_fixed must be finite, got {x_fixed}")
 
 
 def _joint_cdf(b: BivariateModel, fixed_index: int, x: float, y: float) -> float:
@@ -161,6 +164,7 @@ def _upper_var_surv(b: BivariateModel, fixed_index: int, x_fixed: float, s_thres
 
 def lower_var(b: BivariateModel, alpha: float, x_fixed: float, fixed_index: int = 1) -> float:
     """Smallest free-coordinate value keeping the joint cdf at or above alpha."""
+    _check_x_fixed(x_fixed)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     fixed_m, _ = _margins(b, fixed_index)
@@ -174,6 +178,7 @@ def lower_var(b: BivariateModel, alpha: float, x_fixed: float, fixed_index: int 
 
 def upper_var(b: BivariateModel, alpha: float, x_fixed: float, fixed_index: int = 1) -> float:
     """Smallest free-coordinate value pushing the joint survival to 1 - alpha or below."""
+    _check_x_fixed(x_fixed)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     fixed_m, _ = _margins(b, fixed_index)
@@ -205,14 +210,12 @@ def _free_tail_diverges(b: BivariateModel, free_m) -> bool:
 
 
 def _quad(f, a: float, c: float) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, a, c, **_QUAD_OPTS)
-    return val
+    return quad(f, a, c, **_QUAD_OPTS)[0]
 
 
 def lower_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1):
     """Average of the lower orthant VaR over a clipped level band."""
+    _check_x_fixed(x_fixed)
     a1, a2 = levels.alpha1, levels.alpha2
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
@@ -253,6 +256,7 @@ def lower_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_inde
 
 def upper_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1):
     """Average of the upper orthant VaR over a clipped level band."""
+    _check_x_fixed(x_fixed)
     a1, a2 = levels.alpha1, levels.alpha2
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
@@ -316,6 +320,7 @@ def closed_lower_rvar_gev_indep(
     b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1
 ):
     """Closed-form lower orthant RVaR for independent GEV margins."""
+    _check_x_fixed(x_fixed)
     fixed_m, free_m = _require_gev_indep(b, fixed_index)
     a1, a2 = levels.alpha1, levels.alpha2
     a_fixed = fixed_m.cdf(x_fixed)
@@ -350,6 +355,7 @@ def closed_upper_rvar_gev_indep(
     b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1
 ):
     """Closed-form upper orthant RVaR for independent GEV margins."""
+    _check_x_fixed(x_fixed)
     fixed_m, free_m = _require_gev_indep(b, fixed_index)
     a1, a2 = levels.alpha1, levels.alpha2
     a_fixed = fixed_m.cdf(x_fixed)
@@ -391,6 +397,7 @@ def closed_lower_rvar_exponential(
     fixed_index: int = 1,
 ) -> float:
     """Closed-form lower orthant RVaR for exponential margins under Pi, M or W."""
+    _check_x_fixed(x_fixed)
     fixed_m, free_m = _margins(b, fixed_index)
     if not isinstance(fixed_m, Exponential) or not isinstance(free_m, Exponential):
         raise DomainError("closed form requires exponential margins")

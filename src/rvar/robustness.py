@@ -16,7 +16,7 @@ import numpy as np
 from .dependence import BivariateModel
 from .errors import DomainError, ZeroDensityError
 from .marginals import LevelRange, is_divergent
-from .orthant import _joint_cdf, _margins, lower_rvar, lower_tvar, lower_var, upper_rvar, upper_var
+from .orthant import _check_x_fixed, _joint_cdf, _margins, lower_rvar, lower_tvar, lower_var, upper_rvar, upper_var
 
 _DENSITY_H_REL = 1e-6
 _DENSITY_FLOOR = 1e-12
@@ -227,6 +227,7 @@ def sensitivity_profile(
     """
     if target not in _TARGETS:
         raise DomainError(f"unknown sensitivity target {target!r}")
+    _check_x_fixed(x_fixed)
     _, free_m = _margins(b, fixed_index)
     if target == "lower_var":
         if alpha is None:

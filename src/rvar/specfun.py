@@ -3,11 +3,14 @@
 All functions are real-valued and pure. Accuracy targets: 1e-12 relative
 for the incomplete gamma, 1e-10 for the exponential integrals and the
 logarithmic integral (away from its singularity at 1).
+
+``scipy.special`` loads on the first special-function call, not at import:
+``import scipy`` alone is cheap and resolves the submodule on first access.
 """
 
 import math
 
-from scipy.special import exp1, expi, gamma as _gamma, gammaincc
+import scipy
 
 from .errors import DomainError
 
@@ -29,20 +32,36 @@ def upper_incomplete_gamma(s: float, a: float) -> float:
             raise DomainError(
                 f"Gamma(s, 0) diverges for s <= 0, got s={s}"
             )
-        return float(_gamma(s))
+        return float(scipy.special.gamma(s))
     if s > 0:
-        return float(gammaincc(s, a) * _gamma(s))
+        return float(scipy.special.gammaincc(s, a) * scipy.special.gamma(s))
     if s == int(s):
         # integer chain bottoms out at Gamma(0, a) = E1(a)
-        g = float(exp1(a))
+        g = float(scipy.special.exp1(a))
         order = 0.0
     else:
         order = s - math.floor(s)
-        g = float(gammaincc(order, a) * _gamma(order))
+        g = float(scipy.special.gammaincc(order, a) * scipy.special.gamma(order))
     while order > s:
         order -= 1.0
         g = (g - a**order * math.exp(-a)) / order
     return g
+
+
+def incomplete_gamma_band(s: float, t1: float, t2: float) -> float:
+    """Integral of t^(s-1) e^(-t) over [t1, t2], for s > 0, 0 <= t1 < t2 <= inf.
+
+    Differences the regularized lower tail P(s, .) or the upper tail
+    Q(s, .), whichever subtracts the smaller value, so a band near t = 0
+    keeps its digits as well as one far out in the tail.
+    """
+    p2 = scipy.special.gammainc(s, t2)
+    q1 = scipy.special.gammaincc(s, t1)
+    if p2 <= q1:
+        band = p2 - scipy.special.gammainc(s, t1)
+    else:
+        band = q1 - scipy.special.gammaincc(s, t2)
+    return float(band * scipy.special.gamma(s))
 
 
 def log_integral(x: float) -> float:
@@ -56,18 +75,11 @@ def log_integral(x: float) -> float:
     if x == 0:
         return 0.0
     # substitute t = e^{-w}: li(x) = -E1(-ln x)
-    return float(-exp1(-math.log(x)))
-
-
-def exp_integral_ei(x: float) -> float:
-    """Ei(x), the principal-value exponential integral, x != 0."""
-    if x == 0:
-        raise DomainError("Ei has a singularity at x = 0")
-    return float(expi(x))
+    return float(-scipy.special.exp1(-math.log(x)))
 
 
 def exp_integral_e1(x: float) -> float:
     """E1(x) = -Ei(-x) for x > 0."""
     if x <= 0:
         raise DomainError(f"E1 requires x > 0, got x={x}")
-    return float(exp1(x))
+    return float(scipy.special.exp1(x))

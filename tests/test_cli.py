@@ -1,10 +1,15 @@
 """Command line interface: schemas, exit codes, config round trips."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rvar
 from rvar import GEV, LevelRange, uni_rvar, uni_tvar, uni_var
 from rvar.cli import RunConfig, main, parse_copula, parse_margin
 from rvar.dependence import Gumbel, Independence
@@ -76,6 +81,14 @@ def test_domain_error_exit_code(capsys):
         "--alpha", "0.9"])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    # so is a non-finite conditioning point, and the message names it
+    code, out, err = run_cli(capsys, [
+        "sensitivity", "--margin1", "exponential", "lam=1",
+        "--margin2", "exponential", "lam=2", "--copula", "independence",
+        "--target", "lower_rvar", "--alpha1", "0.9", "--alpha2", "0.99",
+        "--x-fixed", "nan"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "x_fixed" in err
 
 
 def test_curve_csv_schema(capsys, tmp_path):
@@ -316,3 +329,57 @@ def test_unwritable_out_is_domain_error(capsys, tmp_path):
         "--out", str(tmp_path / "no-such-dir" / "x.csv")])
     assert code == 2
     assert err.startswith("error:") and "--out" in err
+
+
+@pytest.mark.parametrize("theta", ["300", "500"])
+def test_curve_near_comonotone_gumbel(capsys, theta):
+    # the Gumbel generator sum once underflowed at theta=300 (a band mean
+    # below VaR_0.95 of the free margin) and overflowed at theta=500
+    code, out, err = run_cli(capsys, [
+        "curve", "--margin1", "weibull", "shape=2", "scale=50",
+        "--margin2", "weibull", "shape=2", "scale=150", "--copula", "gumbel",
+        f"theta={theta}", "--kind", "lower_rvar", "--alpha1", "0.95",
+        "--alpha2", "0.99", "--grid", "5"])
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 0:
+        values = [float(ln.split(",")[1]) for ln in out.strip().splitlines()[1:]]
+        assert min(values) >= uni_var(Weibull(2.0, 150.0), 0.95)
+
+
+_SCIPY_PARTS = ("scipy.integrate", "scipy.optimize", "scipy.special")
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import rvar, rvar.cli
+
+def loaded():
+    return sorted(m for m in {parts!r} if m in sys.modules)
+
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    rvar.cli.main(["uni", "--gpd", "u=10", "sigma=2", "xi=0.25", "zeta=0.05",
+                   "--measure", "tvar", "--alpha", "0.99"])
+    rvar.cli.main(["empirical", "--input", {csv!r}, "--alpha1", "0.8",
+                   "--alpha2", "0.95", "--m", "20", "--grid", "5"])
+    seen.append(loaded())
+    rvar.cli.main(["uni", "--weibull", "shape=2", "scale=50", "--measure", "tvar",
+                   "--alpha", "0.95"])
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_subcommands_load_only_the_scipy_parts_they_use(tmp_path):
+    # a fresh interpreter: the test process itself has scipy loaded
+    f = tmp_path / "data.csv"
+    _write_samples(f, np.random.default_rng(3).exponential(1.0, size=(200, 2)).tolist())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rvar.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = _IMPORT_PROBE.format(parts=_SCIPY_PARTS, csv=str(f))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_closed_forms, after_weibull = json.loads(proc.stdout)
+    assert at_import == []
+    assert after_closed_forms == []
+    assert after_weibull == ["scipy.special"]

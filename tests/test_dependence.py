@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 import _oracles as orc
@@ -61,6 +63,21 @@ def test_frechet_ordering_and_survival_positivity():
             assert vals == sorted(vals)
             for c in cops:
                 assert 1.0 - u - v + copula_cdf(c, u, v) >= -1e-15
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    theta=st.floats(1.0, 1e4),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+)
+@example(theta=300.0, u=0.95, v=0.99)  # the generator sum underflowed: C = 1
+@example(theta=500.0, u=0.95, v=0.99)  # ... and overflowed
+@example(theta=1e4, u=1e-300, v=0.5)
+def test_gumbel_cdf_within_frechet_bounds(theta, u, v):
+    c = copula_cdf(Gumbel(theta), u, v)
+    # near (1, 1) even u*v rounds one ulp below the rounded u + v - 1
+    assert max(u + v - 1.0, 0.0) - 2.0**-52 <= c <= min(u, v)
 
 
 def test_bivariate_model_joint_cdf_and_survival():

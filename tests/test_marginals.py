@@ -168,14 +168,23 @@ def test_rvar_collapses_to_var_for_narrow_bands():
     assert r == pytest.approx(v, abs=1e-6)
 
 
-def test_generic_rvar_quadrature_families():
-    # families without a closed form go through quadrature internally;
-    # cross-check against the independent band integral
-    lr = LevelRange(0.9, 0.99)
-    for m in [Weibull(2.0, 50.0), Exponential(0.5), Uniform(-1.0, 3.0)]:
-        want = orc.rvar_from_quantile(lambda s, m=m: m.quantile(1.0 - s) if s > 1e-15
-                                      else m.quantile(1.0 - 1e-15), 0.9, 0.99)
-        assert uni_rvar(m, lr) == pytest.approx(want, rel=1e-8)
+def test_closed_rvar_families_match_band_integral():
+    # Weibull, exponential and uniform band averages are closed forms;
+    # cross-check against the independent band integral, whose quantiles
+    # are written survival-side so the far tail keeps its digits
+    sf_quantiles = [
+        (Weibull(2.0, 50.0), lambda s: 50.0 * (-math.log(s)) ** 0.5),
+        (Weibull(0.5, 3.0), lambda s: 3.0 * math.log(s) ** 2),
+        (Exponential(0.5), lambda s: -math.log(s) / 0.5),
+        (Exponential(1e3), lambda s: -math.log(s) / 1e3),
+        (Uniform(-1.0, 3.0), lambda s: 3.0 - 4.0 * s),
+    ]
+    bands = [(0.9, 0.99), (0.95, 1.0), (0.9, 0.9001), (0.999999, 1.0), (0.0, 0.5), (0.0, 1e-4)]
+    for m, sfq in sf_quantiles:
+        for a1, a2 in bands:
+            want = orc.rvar_from_quantile(sfq, a1, a2)
+            got = uni_rvar(m, LevelRange(a1, a2))
+            assert got == pytest.approx(want, rel=1e-10), (m, a1, a2)
 
 
 def test_exponential_tvar_closed_identity():

@@ -16,6 +16,7 @@ from rvar import (
     LevelRange,
     Weibull,
     branch_label,
+    lower_rvar,
     lower_tvar,
     lower_var,
     sens_lower_rvar,
@@ -24,6 +25,7 @@ from rvar import (
     sens_upper_rvar,
     sens_upper_var,
     sensitivity_profile,
+    upper_rvar,
     upper_var,
 )
 
@@ -249,3 +251,15 @@ def test_sens_fixed_index_symmetry():
     a = sens_lower_var(EXP_IND, 0.9, 3.0, 2.0)
     bvals = sens_lower_var(swapped, 0.9, 3.0, 2.0, fixed_index=2)
     assert a == pytest.approx(bvals, rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("measure", [
+    lambda x: lower_rvar(WEIB_GUM, LevelRange(0.95, 0.99), x),
+    lambda x: upper_rvar(WEIB_GUM, LevelRange(0.5, 0.95), x),
+    lambda x: lower_var(WEIB_GUM, 0.95, x),
+    lambda x: sensitivity_profile(WEIB_GUM, "lower_rvar", x, levels=LevelRange(0.95, 0.99)),
+], ids=["lower_rvar", "upper_rvar", "lower_var", "sensitivity_profile"])
+def test_non_finite_x_fixed_is_named(measure, x):
+    with pytest.raises(DomainError, match="x_fixed"):
+        measure(x)
