@@ -6,8 +6,8 @@ with its shape-driven limit.
 
 RVaR over [a1, a2] is the average of the quantile over that level range.
 Every family has it in closed form (``band_mean``): incomplete gamma and
-logarithmic integral expressions for GEV and Weibull, elementary ones for
-the GPD tail, the exponential and the uniform.
+logarithmic integral expressions for GEV, Weibull and the exponential,
+elementary ones for the GPD tail and the uniform.
 
 Divergent tail expectations are reported by the DIVERGES marker, a typed
 singleton distinct from every float; callers test with is_divergent().
@@ -19,7 +19,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .specfun import EULER_GAMMA, incomplete_gamma_band, log_integral, upper_incomplete_gamma
+from .specfun import (
+    EULER_GAMMA,
+    LOG_BAND_ORDER,
+    incomplete_gamma_band,
+    log_incomplete_gamma_band,
+    log_integral,
+    upper_incomplete_gamma,
+)
 
 # shape values within this distance of zero route to the xi = 0 formulas;
 # cancellation in ((-ln p)^(-xi) - 1)/xi costs ~1e-16/|xi| relative error
@@ -297,9 +304,14 @@ class Weibull:
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: lam (Gamma(1+1/k, t) from t2 to t1) / w."""
+        s = 1.0 + 1.0 / self.shape
         t1 = -math.log1p(-a1)
         t2 = math.inf if a2 >= 1.0 else -math.log1p(-a2)
-        return self.scale * incomplete_gamma_band(1.0 + 1.0 / self.shape, t1, t2) / (a2 - a1)
+        if s < LOG_BAND_ORDER:
+            return self.scale * incomplete_gamma_band(s, t1, t2) / (a2 - a1)
+        # levels below 1 give t1 <= 36.7 < s, where the log form holds
+        log_band = log_incomplete_gamma_band(s, t1, t2)
+        return math.exp(math.log(self.scale) - math.log(a2 - a1) + log_band)
 
     def mean(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
@@ -340,15 +352,14 @@ class Exponential:
         return -np.log1p(-p) / self.lam
 
     def band_mean(self, a1: float, a2: float) -> float:
-        """Average quantile over [a1, a2]: [(1+t1)(1-a1) - (1+t2)(1-a2)] / (lam w)."""
+        """Average quantile over [a1, a2]: [Gamma(2, t1) - Gamma(2, t2)] / (lam w).
+
+        Gamma(2, t) = (1 + t)(1 - a); incomplete_gamma_band differences it
+        on the side that keeps narrow bands near level 0 accurate.
+        """
         t1 = -math.log1p(-a1)
         t2 = math.inf if a2 >= 1.0 else -math.log1p(-a2)
-        if a1 < 0.5:
-            # (1+t) e^-t is Gamma(2, t); its difference cancels for narrow
-            # bands near level 0, where the lower incomplete gamma does not
-            return incomplete_gamma_band(2.0, t1, t2) / (self.lam * (a2 - a1))
-        upper2 = 0.0 if a2 >= 1.0 else (1.0 + t2) * (1.0 - a2)
-        return ((1.0 + t1) * (1.0 - a1) - upper2) / (self.lam * (a2 - a1))
+        return incomplete_gamma_band(2.0, t1, t2) / (self.lam * (a2 - a1))
 
     def mean(self) -> float:
         return 1.0 / self.lam
@@ -432,7 +443,8 @@ def uni_rvar(m, levels: LevelRange):
     - GPDTail(u, sigma, xi, zeta_u): [(1-alpha1) VaR_alpha1 - (1-alpha2) VaR_alpha2]
       / (w (1-xi)) + (sigma - xi u)/(1-xi), for alpha1 >= 1 - zeta_u
     - Weibull(k, lam): lam [Gamma(1+1/k, t1) - Gamma(1+1/k, t2)] / w
-    - Exponential(lam): [(1+t1)(1-alpha1) - (1+t2)(1-alpha2)] / (lam w)
+    - Exponential(lam): [(1+t1)(1-alpha1) - (1+t2)(1-alpha2)] / (lam w),
+      which is [Gamma(2, t1) - Gamma(2, t2)] / (lam w)
     - Uniform(lo, hi): lo + (hi - lo)(alpha1 + alpha2)/2
 
     Gamma(s, t) is the upper incomplete gamma and li the logarithmic

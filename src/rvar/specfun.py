@@ -53,7 +53,10 @@ def incomplete_gamma_band(s: float, t1: float, t2: float) -> float:
 
     Differences the regularized lower tail P(s, .) or the upper tail
     Q(s, .), whichever subtracts the smaller value, so a band near t = 0
-    keeps its digits as well as one far out in the tail.
+    keeps its digits as well as one far out in the tail. For s at or above
+    LOG_BAND_ORDER use log_incomplete_gamma_band: there the regularized
+    tails underflow on bands whose integral does not, and past s = 171.6
+    Gamma(s) itself overflows.
     """
     p2 = scipy.special.gammainc(s, t2)
     q1 = scipy.special.gammaincc(s, t1)
@@ -62,6 +65,40 @@ def incomplete_gamma_band(s: float, t1: float, t2: float) -> float:
     else:
         band = q1 - scipy.special.gammaincc(s, t2)
     return float(band * scipy.special.gamma(s))
+
+
+# Gamma(50) ~ 6e62: from here on a regularized tail below 1e-308 no longer
+# means an integral below 1e-245, so the band is summed as logarithms
+LOG_BAND_ORDER = 50.0
+
+
+def _lower_gamma_series(s: float, x: float) -> float:
+    """sum_n x^n / (s (s+1) ... (s+n)), so gamma(s, x) = x^s e^(-x) times it."""
+    term = total = 1.0 / s
+    n = 0.0
+    while term > total * 1e-17:
+        n += 1.0
+        term *= x / (s + n)
+        total += term
+    return total
+
+
+def log_incomplete_gamma_band(s: float, t1: float, t2: float) -> float:
+    """ln of the integral of t^(s-1) e^(-t) over [t1, t2], for s > 0, 0 <= t1 < t2 <= inf.
+
+    Meant for large s with t1 < s: a finite band is differenced from the
+    positive lower-gamma series at each end, as the ratio of the two, so a
+    narrow band keeps its digits; a band to infinity is ln Gamma(s) + ln Q(s, t1).
+    """
+    if math.isinf(t2):
+        return float(scipy.special.gammaln(s)) + math.log(scipy.special.gammaincc(s, t1))
+    sum2 = _lower_gamma_series(s, t2)
+    log2 = s * math.log(t2) - t2 + math.log(sum2)
+    if t1 == 0:
+        return log2
+    # ln of gamma(s, t1) / gamma(s, t2)
+    d = s * math.log(t1 / t2) + (t2 - t1) + math.log(_lower_gamma_series(s, t1) / sum2)
+    return log2 + math.log(-math.expm1(d))
 
 
 def log_integral(x: float) -> float:

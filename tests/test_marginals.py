@@ -187,6 +187,25 @@ def test_closed_rvar_families_match_band_integral():
             assert got == pytest.approx(want, rel=1e-10), (m, a1, a2)
 
 
+@pytest.mark.parametrize("k,lam,a1,a2", [
+    (0.005, 1.0, 0.9, 0.99),      # Gamma(201) overflows a double
+    (0.005, 1.0, 0.9, 0.9001),
+    (0.005, 1.0, 0.5, 0.6),
+    (0.005, 1e40, 0.0, 0.5),      # regularized lower tail underflows to 0
+    (0.0062, 1e34, 0.0, 0.5),     # Gamma(s) finite, regularized tail subnormal
+    (0.015, 1.0, 0.9, 1.0),       # TVaR: ln Gamma(s) + ln Q(s, t1)
+    (0.0204, 1.0, 0.9, 0.99),     # just above the switch to the log form
+    (0.0208, 1.0, 0.9, 0.99),     # just below it
+])
+def test_weibull_rvar_at_very_small_shape(k, lam, a1, a2):
+    # a large scale keeps the value clear of the oracle's absolute tolerance
+    sfq = lambda s: lam * (-math.log(s)) ** (1.0 / k)
+    want = orc.rvar_from_quantile(sfq, a1, a2)
+    got = uni_rvar(Weibull(k, lam), LevelRange(a1, a2))
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
 def test_exponential_tvar_closed_identity():
     # memoryless tail: TVaR_a = VaR_a + 1/lam
     m = Exponential(0.5)
