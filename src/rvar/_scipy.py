@@ -1,23 +1,12 @@
-"""First-call importers for the scipy routines the orthant layer binds by name.
+"""First-call importer for the scipy root finder the orthant layer binds by name.
 
-``scipy.integrate`` and ``scipy.optimize`` take most of a fresh process's
-start-up, and only the quadrature and root paths need them, so each is
-loaded on the first call of a routine here rather than at import.  The
-routines live outside the layer modules so that ``perfbench/tracing.py``
-counts them once, through the ``quad``/``brentq`` names ``orthant`` binds.
+``scipy.optimize`` takes a large share of a fresh process's start-up, and
+only ``comonotonic_aggregate_rvar`` needs ``brentq``, so it is loaded on the
+first call rather than at import. The orthant integral needs no scipy: its
+``quad`` is ``rvar._quadpack``. The routine lives outside the layer modules
+so that ``perfbench/tracing.py`` counts it once, through the ``brentq`` name
+``orthant`` binds.
 """
-
-import warnings
-
-
-def quad(f, a: float, b: float, **opts):
-    """``scipy.integrate.quad`` with its ``IntegrationWarning`` silenced."""
-    from scipy.integrate import IntegrationWarning
-    from scipy.integrate import quad as _quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return _quad(f, a, b, **opts)
 
 
 def brentq(f, a: float, b: float, **opts):

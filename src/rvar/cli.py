@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -286,23 +287,10 @@ def cmd_curve(cfg: RunConfig) -> int:
     return 0
 
 
-def read_samples(path: str) -> SampleMatrix:
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot open input file: {exc}", line=0)
-    with fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError("input file is empty", line=1)
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 2 or header != [f"x{i}" for i in range(1, len(header) + 1)]:
-        raise DataError(
-            "header must be x1,x2[,...] matching the column count", line=1
-        )
-    d = len(header)
+def _parse_rows(body: str, d: int) -> np.ndarray:
+    """Cell-by-cell parse of the data rows, naming the first bad line."""
     data = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != d:
@@ -311,8 +299,38 @@ def read_samples(path: str) -> SampleMatrix:
             data.append([float(c) for c in row])
         except ValueError:
             raise DataError(f"non-numeric entry in row: {row}", line=i)
+    return np.array(data, dtype=float).reshape(len(data), d)
+
+
+def read_samples(path: str) -> SampleMatrix:
     try:
-        return SampleMatrix(np.array(data, dtype=float).reshape(len(data), d))
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot open input file: {exc}", line=0)
+    with fh:
+        header = next(csv.reader(fh), None)
+        body = fh.read()
+    if header is None:
+        raise DataError("input file is empty", line=1)
+    header = [c.strip() for c in header]
+    if len(header) < 2 or header != [f"x{i}" for i in range(1, len(header) + 1)]:
+        raise DataError(
+            "header must be x1,x2[,...] matching the column count", line=1
+        )
+    d = len(header)
+    data = None
+    if body.strip():
+        # numpy rejects every row the cell loop would, and a few it accepts
+        # (quoted cells, all-empty rows, digit underscores), so the loop
+        # runs only after a rejection, to name the line or read those forms
+        try:
+            data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != d:
+        data = _parse_rows(body, d)
+    try:
+        return SampleMatrix(data)
     except DomainError as exc:
         raise DataError(str(exc), line=0)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._quadpack import qk21
 from .errors import DomainError
 from .specfun import (
     EULER_GAMMA,
@@ -31,6 +32,13 @@ from .specfun import (
 # shape values within this distance of zero route to the xi = 0 formulas;
 # cancellation in ((-ln p)^(-xi) - 1)/xi costs ~1e-16/|xi| relative error
 XI_ZERO_TOL = 1e-8
+
+# A GEV band no wider than this fraction of its distance from levels 0 and
+# 1 is averaged by the 21-point Kronrod rule: the quantile is analytic well
+# beyond such a band, so the rule is exact to rounding (<= 6.1e-16 against
+# 40-digit values), while a difference of incomplete gammas loses up to
+# 5e-13 on such bands and 8e-11 on [0.5, 0.5001]
+NARROW_BAND = 0.25
 
 
 class _Divergent:
@@ -148,9 +156,16 @@ class GEV:
             return self.mu - self.sigma / width * bracket
         if a2 >= 1.0 and self.xi >= 1.0:
             return DIVERGES
-        g2 = upper_incomplete_gamma(1.0 - self.xi, 0.0 if a2 >= 1.0 else -math.log(a2))
-        g1 = upper_incomplete_gamma(1.0 - self.xi, -math.log(a1)) if a1 > 0 else 0.0
-        return self.mu - self.sigma / (self.xi * width) * (width - g2 + g1)
+        t2 = 0.0 if a2 >= 1.0 else -math.log(a2)
+        if self.xi >= 1.0:
+            g2 = upper_incomplete_gamma(1.0 - self.xi, t2)
+            g1 = upper_incomplete_gamma(1.0 - self.xi, -math.log(a1)) if a1 > 0 else 0.0
+            return self.mu - self.sigma / (self.xi * width) * (width - g2 + g1)
+        if width <= NARROW_BAND * min(a1, 1.0 - a2):
+            # every difference of antiderivatives cancels on such a band
+            return qk21(self.quantile, a1, a2)[0] / width
+        band = incomplete_gamma_band(1.0 - self.xi, t2, -math.log(a1) if a1 > 0 else math.inf)
+        return self.mu - self.sigma / (self.xi * width) * (width - band)
 
     def mean(self):
         if self.xi >= 1.0:
@@ -448,7 +463,9 @@ def uni_rvar(m, levels: LevelRange):
     - Uniform(lo, hi): lo + (hi - lo)(alpha1 + alpha2)/2
 
     Gamma(s, t) is the upper incomplete gamma and li the logarithmic
-    integral. With alpha2 = 1 this is the TVaR and may return DIVERGES.
+    integral. For 0 < |xi| < 1 a GEV band no wider than NARROW_BAND times
+    min(alpha1, 1 - alpha2) is averaged by the 21-point Kronrod rule
+    instead. With alpha2 = 1 this is the TVaR and may return DIVERGES.
     """
     return m.band_mean(levels.alpha1, levels.alpha2)
 

@@ -5,6 +5,12 @@ with one coordinate pinned; upper-orthant measures do the same through the
 joint survival function.  Closed forms are provided for independent GEV
 margins and for exponential margins under the three Frechet-bound copulas;
 everything else goes through root-finding plus quadrature.
+
+The band average of an orthant VaR is integrated by ``quad``, the package's
+own port of QUADPACK's QAGS (``rvar._quadpack``), so the root-plus-quadrature
+measures load no scipy part. The GEV closed forms load ``scipy.special``
+through ``specfun``, and ``comonotonic_aggregate_rvar`` loads
+``scipy.optimize`` for ``brentq``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import brentq, quad
+from ._quadpack import quad
+from ._scipy import brentq
 from .dependence import BivariateModel, Comonotone, Countermonotone, Gumbel, Independence, sample
 from .errors import (
     ComonotonicityError,

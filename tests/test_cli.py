@@ -11,9 +11,9 @@ import pytest
 
 import rvar
 from rvar import GEV, LevelRange, uni_rvar, uni_tvar, uni_var
-from rvar.cli import RunConfig, main, parse_copula, parse_margin
+from rvar.cli import RunConfig, main, parse_copula, parse_margin, read_samples
 from rvar.dependence import Gumbel, Independence
-from rvar.errors import DomainError
+from rvar.errors import DataError, DomainError
 from rvar.marginals import Exponential, GPDTail, Weibull
 
 HEADER = "x_fixed,value,kind,alpha1,alpha2,fixed_index"
@@ -195,6 +195,30 @@ def test_empirical_bad_row_exit_3(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("text, want", [
+    ("\ufeffx1,x2\r\n1.5,2\r\n3,4\r\n", [[1.5, 2.0], [3.0, 4.0]]),
+    ("x1,x2\n1,2\n\n , \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    # forms numpy rejects and the cell loop reads
+    ('x1,x2\n"1",2\n1_0,2\n', [[1.0, 2.0], [10.0, 2.0]]),
+    ("", ("input file is empty", 1)),
+    ("x1,x2\n", ("sample matrix needs n >= 2 and d >= 2, got (0, 2)", 0)),
+    ("x1,x2\n1,2\n3\n", ("expected 2 columns, got 1", 3)),
+    ("x1,x2\n1,2,\n", ("expected 2 columns, got 3", 2)),
+    ("x1,x2\n1,2\n\n3,oops\n", ("non-numeric entry in row: ['3', 'oops']", 4)),
+    ("x1,x2\n1,2 # c\n", ("non-numeric entry in row: ['1', '2 # c']", 2)),
+    ("x1,x2\n1,2\nnan,3\n", ("sample matrix contains missing or non-finite values", 0)),
+])
+def test_read_samples_rows_and_errors(tmp_path, text, want):
+    f = tmp_path / "s.csv"
+    f.write_bytes(text.encode("utf-8"))
+    if isinstance(want, list):
+        assert read_samples(str(f)).data.tolist() == want
+    else:
+        with pytest.raises(DataError) as exc:
+            read_samples(str(f))
+        assert (str(exc.value), exc.value.line) == want
+
+
 def test_empirical_missing_file_exit_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, [
         "empirical", "--input", str(tmp_path / "nope.csv"),
@@ -361,6 +385,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     rvar.cli.main(["empirical", "--input", {csv!r}, "--alpha1", "0.8",
                    "--alpha2", "0.95", "--m", "20", "--grid", "5"])
     seen.append(loaded())
+    rvar.cli.main(["curve", *{model!r}, "--kind", "lower_rvar", "--alpha1", "0.95",
+                   "--alpha2", "0.99", "--grid", "3"])
+    rvar.cli.main(["sensitivity", *{model!r}, "--target", "lower_rvar",
+                   "--alpha1", "0.95", "--alpha2", "0.99", "--x-fixed", "150"])
+    seen.append(loaded())
     rvar.cli.main(["uni", "--weibull", "shape=2", "scale=50", "--measure", "tvar",
                    "--alpha", "0.95"])
     seen.append(loaded())
@@ -374,11 +403,14 @@ def test_subcommands_load_only_the_scipy_parts_they_use(tmp_path):
     _write_samples(f, np.random.default_rng(3).exponential(1.0, size=(200, 2)).tolist())
     src = os.path.dirname(os.path.dirname(os.path.abspath(rvar.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = _IMPORT_PROBE.format(csv=str(f))
+    model = ["--margin1", "weibull", "shape=2", "scale=50", "--margin2", "weibull",
+             "shape=2", "scale=150", "--copula", "gumbel", "theta=1.5"]
+    probe = _IMPORT_PROBE.format(csv=str(f), model=model)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    at_import, after_closed_forms, after_weibull = json.loads(proc.stdout)
+    at_import, after_closed_forms, after_orthant, after_weibull = json.loads(proc.stdout)
     assert at_import == []
     assert after_closed_forms == []
+    assert after_orthant == []
     assert after_weibull == ["scipy.special"]

@@ -206,6 +206,21 @@ def test_weibull_rvar_at_very_small_shape(k, lam, a1, a2):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("xi,a1,a2,want", [
+    # mu - sigma/(xi w) [w - Gamma(1-xi, -ln a2) + Gamma(1-xi, -ln a1)] at
+    # the binary endpoints, evaluated once with mpmath at 40 digits
+    (-0.3, 0.999999, 0.9999995, "3.285065299857919299475335"),
+    (0.2, 0.5, 0.5001, "0.3804356753418775222792247"),
+    (-0.3, 0.999999, 1.0, "3.292695042901379312860781"),
+    (0.2, 0.95, 0.95 + 1e-8, "4.056447932642288872165416"),
+])
+def test_gev_rvar_on_narrow_and_far_bands(xi, a1, a2, want):
+    # beyond the band-integral oracle's 1e-10: differencing upper incomplete
+    # gammas was off by 2.9e-10, 7.8e-11, 8.9e-11 and 2.8e-8 here
+    got = uni_rvar(GEV(0.0, 1.0, xi), LevelRange(a1, a2))
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
 def test_exponential_tvar_closed_identity():
     # memoryless tail: TVaR_a = VaR_a + 1/lam
     m = Exponential(0.5)
