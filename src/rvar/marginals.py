@@ -36,8 +36,9 @@ XI_ZERO_TOL = 1e-8
 # A GEV band no wider than this fraction of its distance from levels 0 and
 # 1 is averaged by the 21-point Kronrod rule: the quantile is analytic well
 # beyond such a band, so the rule is exact to rounding (<= 6.1e-16 against
-# 40-digit values), while a difference of incomplete gammas loses up to
-# 5e-13 on such bands and 8e-11 on [0.5, 0.5001]
+# 40-digit values), while a difference of antiderivatives loses up to 5e-13
+# on such bands for 0 < |xi| < 1, 5e-11 at xi = 1.2 on [0.5, 0.5001] and
+# 1e-8 at xi = 0 on [0.95, 0.95 + 1e-8]
 NARROW_BAND = 0.25
 
 
@@ -149,6 +150,9 @@ class GEV:
     def band_mean(self, a1: float, a2: float):
         """Average quantile over [a1, a2] (the forms are listed in uni_rvar)."""
         width = a2 - a1
+        if width <= NARROW_BAND * min(a1, 1.0 - a2):
+            # every difference of antiderivatives cancels on such a band
+            return qk21(self.quantile, a1, a2)[0] / width
         if abs(self.xi) < XI_ZERO_TOL:
             if a2 >= 1.0:
                 return DIVERGES  # li(x) singularity at x = 1
@@ -161,9 +165,6 @@ class GEV:
             g2 = upper_incomplete_gamma(1.0 - self.xi, t2)
             g1 = upper_incomplete_gamma(1.0 - self.xi, -math.log(a1)) if a1 > 0 else 0.0
             return self.mu - self.sigma / (self.xi * width) * (width - g2 + g1)
-        if width <= NARROW_BAND * min(a1, 1.0 - a2):
-            # every difference of antiderivatives cancels on such a band
-            return qk21(self.quantile, a1, a2)[0] / width
         band = incomplete_gamma_band(1.0 - self.xi, t2, -math.log(a1) if a1 > 0 else math.inf)
         return self.mu - self.sigma / (self.xi * width) * (width - band)
 
@@ -463,7 +464,7 @@ def uni_rvar(m, levels: LevelRange):
     - Uniform(lo, hi): lo + (hi - lo)(alpha1 + alpha2)/2
 
     Gamma(s, t) is the upper incomplete gamma and li the logarithmic
-    integral. For 0 < |xi| < 1 a GEV band no wider than NARROW_BAND times
+    integral. A GEV band no wider than NARROW_BAND times
     min(alpha1, 1 - alpha2) is averaged by the 21-point Kronrod rule
     instead. With alpha2 = 1 this is the TVaR and may return DIVERGES.
     """

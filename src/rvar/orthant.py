@@ -7,10 +7,10 @@ margins and for exponential margins under the three Frechet-bound copulas;
 everything else goes through root-finding plus quadrature.
 
 The band average of an orthant VaR is integrated by ``quad``, the package's
-own port of QUADPACK's QAGS (``rvar._quadpack``), so the root-plus-quadrature
-measures load no scipy part. The GEV closed forms load ``scipy.special``
-through ``specfun``, and ``comonotonic_aggregate_rvar`` loads
-``scipy.optimize`` for ``brentq``.
+own port of QUADPACK's QAGS (``rvar._quadpack``); the GEV closed forms take
+their incomplete gamma and E1 from ``specfun``, and
+``comonotonic_aggregate_rvar`` bisects its total quantile in p. No measure
+loads scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadpack import quad
-from ._scipy import brentq
 from .dependence import BivariateModel, Comonotone, Countermonotone, Gumbel, Independence, sample
 from .errors import (
     ComonotonicityError,
@@ -90,6 +89,23 @@ def _bisect_smallest(pred, lo: float, hi: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """The float in [lo, hi] where increasing f is nearest zero, given f(lo) < 0 < f(hi).
+
+    Halves the bracket down to adjacent floats (~50 steps on [1e-15, 1 - 1e-15]).
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo if -f_lo < f_hi else hi
+        f_mid = f(mid)
+        if f_mid < 0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 def _smallest_true(pred, free, start: float) -> float:
@@ -566,9 +582,7 @@ def comonotonic_aggregate_rvar(
     p_lo, p_hi = 1e-15, 1.0 - 1e-15
     if not total_quantile(p_lo) < fixed_total < total_quantile(p_hi):
         raise DomainError("fixed_total is outside the attainable aggregate range")
-    p_star = brentq(
-        lambda p: total_quantile(p) - fixed_total, p_lo, p_hi, xtol=1e-15, rtol=1e-15
-    )
+    p_star = _bisect_root(lambda p: total_quantile(p) - fixed_total, p_lo, p_hi)
     total = 0.0
     for comp, m in zip(components, fixed_margins):
         x_i = m.quantile(p_star)

@@ -375,42 +375,125 @@ import contextlib, io, json, sys
 import rvar, rvar.cli
 
 def loaded():
-    parts = ("scipy.integrate", "scipy.optimize", "scipy.special")
-    return sorted(m for m in parts if m in sys.modules)
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-seen = [loaded()]
+seen = {{"import rvar": loaded()}}
 with contextlib.redirect_stdout(io.StringIO()):
     rvar.cli.main(["uni", "--gpd", "u=10", "sigma=2", "xi=0.25", "zeta=0.05",
                    "--measure", "tvar", "--alpha", "0.99"])
     rvar.cli.main(["empirical", "--input", {csv!r}, "--alpha1", "0.8",
                    "--alpha2", "0.95", "--m", "20", "--grid", "5"])
-    seen.append(loaded())
+    seen["uni --gpd, empirical"] = loaded()
     rvar.cli.main(["curve", *{model!r}, "--kind", "lower_rvar", "--alpha1", "0.95",
                    "--alpha2", "0.99", "--grid", "3"])
     rvar.cli.main(["sensitivity", *{model!r}, "--target", "lower_rvar",
                    "--alpha1", "0.95", "--alpha2", "0.99", "--x-fixed", "150"])
-    seen.append(loaded())
+    seen["curve, sensitivity"] = loaded()
     rvar.cli.main(["uni", "--weibull", "shape=2", "scale=50", "--measure", "tvar",
                    "--alpha", "0.95"])
-    seen.append(loaded())
+    seen["uni --weibull tvar"] = loaded()
+    rvar.cli.main(["uni", "--gev", "mu=0", "sigma=1", "xi=0.2", "--measure", "rvar",
+                   "--alpha1", "0.95", "--alpha2", "0.99"])
+    seen["uni --gev rvar"] = loaded()
+    rvar.cli.main(["simulate", *{gev_model!r}, "--reps", "2", "--n", "300",
+                   "--alpha1", "0.9", "--alpha2", "0.99", "--grid", "3", "--seed", "1"])
+    seen["simulate, independent GEV"] = loaded()
+    comps = [rvar.BivariateModel(rvar.Exponential(lam), rvar.Exponential(lam), rvar.Comonotone())
+             for lam in (1.0, 2.0)]
+    rvar.comonotonic_aggregate_rvar(comps, rvar.LevelRange(0.9, 0.99), 6.0)
+    seen["comonotonic_aggregate_rvar"] = loaded()
 print(json.dumps(seen))
 """
+
+_GEV_INDEP = ["--margin1", "gev", "mu=0", "sigma=1", "xi=0.2", "--margin2", "gev", "mu=0",
+              "sigma=1", "xi=0.2", "--copula", "independence"]
+_README_MODEL = ["--margin1", "weibull", "shape=2", "scale=50", "--margin2", "weibull",
+                 "shape=2", "scale=150", "--copula", "gumbel", "theta=1.5"]
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rvar.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 def test_subcommands_load_only_the_scipy_parts_they_use(tmp_path):
     # a fresh interpreter: the test process itself has scipy loaded
     f = tmp_path / "data.csv"
     _write_samples(f, np.random.default_rng(3).exponential(1.0, size=(200, 2)).tolist())
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rvar.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    model = ["--margin1", "weibull", "shape=2", "scale=50", "--margin2", "weibull",
-             "shape=2", "scale=150", "--copula", "gumbel", "theta=1.5"]
-    probe = _IMPORT_PROBE.format(csv=str(f), model=model)
+    probe = _IMPORT_PROBE.format(csv=str(f), model=_README_MODEL, gev_model=_GEV_INDEP)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    at_import, after_closed_forms, after_orthant, after_weibull = json.loads(proc.stdout)
-    assert at_import == []
-    assert after_closed_forms == []
-    assert after_orthant == []
-    assert after_weibull == ["scipy.special"]
+    seen = json.loads(proc.stdout)
+    assert list(seen) == [
+        "import rvar", "uni --gpd, empirical", "curve, sensitivity", "uni --weibull tvar",
+        "uni --gev rvar", "simulate, independent GEV", "comonotonic_aggregate_rvar",
+    ]
+    assert seen == {point: [] for point in seen}
+
+
+# a child whose import system refuses scipy outright, then runs a script
+_NO_SCIPY = """
+import runpy, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is not a runtime dependency: import {{name}}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+{body}
+"""
+
+_CLI_RUNS = """
+import contextlib, io
+import rvar.cli
+
+for argv in {runs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = rvar.cli.main(argv)
+    assert code == 0 and out.getvalue(), (argv, code)
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    f = tmp_path / "data.csv"
+    _write_samples(f, np.random.default_rng(4).exponential(1.0, size=(300, 2)).tolist())
+    band = ["--alpha1", "0.9", "--alpha2", "0.99"]
+    runs = [
+        ["uni", "--gev", "mu=0", "sigma=1", "xi=0.2", "--measure", "rvar", *band],
+        ["uni", "--gev", "mu=0", "sigma=1", "xi=0", "--measure", "rvar", *band],
+        ["uni", "--gev", "mu=0", "sigma=1", "xi=1.2", "--measure", "rvar", *band],
+        ["uni", "--gev", "mu=0", "sigma=1", "xi=-0.3", "--measure", "tvar", "--alpha", "0.9"],
+        ["uni", "--weibull", "shape=2", "scale=50", "--measure", "tvar", "--alpha", "0.95"],
+        ["uni", "--weibull", "shape=0.01", "scale=1", "--measure", "rvar", *band],
+        ["uni", "--exponential", "lam=2", "--measure", "rvar", *band],
+        ["uni", "--gpd", "u=10", "sigma=2", "xi=0.25", "zeta=0.05", "--measure", "tvar",
+         "--alpha", "0.99"],
+        ["curve", *_README_MODEL, "--kind", "lower_rvar", "--alpha1", "0.95", "--alpha2",
+         "0.99", "--grid", "3"],
+        ["curve", *_GEV_INDEP, "--kind", "upper_rvar", *band, "--grid", "3"],
+        ["empirical", "--input", str(f), *band, "--m", "20", "--grid", "5"],
+        ["sensitivity", *_README_MODEL, "--target", "lower_rvar", "--alpha1", "0.95",
+         "--alpha2", "0.99", "--x-fixed", "150"],
+        ["simulate", *_GEV_INDEP, "--reps", "2", "--n", "300", *band, "--grid", "3",
+         "--seed", "1"],
+    ]
+    script = _NO_SCIPY.format(body=_CLI_RUNS.format(runs=runs))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+_DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(d for d in os.listdir(_DEMOS) if d.endswith(".py")))
+def test_demo_runs_without_scipy(demo):
+    body = f"runpy.run_path({os.path.join(_DEMOS, demo)!r}, run_name='__main__')"
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY.format(body=body)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -221,6 +221,19 @@ def test_gev_rvar_on_narrow_and_far_bands(xi, a1, a2, want):
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.parametrize("xi,a1,a2,want", [
+    # the band average of the quantile at the binary endpoints, mpmath at 40 digits
+    (0.0, 0.95, 0.95 + 1e-8, "2.970195351651253697263215149123370701951"),
+    (1.2, 0.5, 0.5001, "0.4605746475639849793772259803974855283933"),
+    (0.0, 0.5, 0.5001, "0.3666571943444618124136100667048864611739"),
+])
+def test_gev_rvar_on_narrow_bands_at_xi_zero_and_past_one(xi, a1, a2, want):
+    # differencing li and the negative-order incomplete gamma was off by
+    # 1.1e-8, 5.3e-11 and 1.5e-13 here
+    got = uni_rvar(GEV(0.0, 1.0, xi), LevelRange(a1, a2))
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
 def test_exponential_tvar_closed_identity():
     # memoryless tail: TVaR_a = VaR_a + 1/lam
     m = Exponential(0.5)

@@ -1,12 +1,17 @@
-"""Special-function building blocks against direct integral definitions."""
+"""Special-function building blocks against direct integral definitions
+and against 40-digit mpmath values (``tests/_specfun_pins.py``)."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import exp1, gamma
+from scipy.special import exp1, gamma, gammainc, gammaincc
 
+from _specfun_pins import E1_PINS, GAMMA_PINS
 from rvar import (
     EULER_GAMMA,
     DomainError,
@@ -14,6 +19,7 @@ from rvar import (
     log_integral,
     upper_incomplete_gamma,
 )
+from rvar.specfun import _regularized_pq
 
 
 def _uig_quad(s, a):
@@ -87,3 +93,88 @@ def test_exp_integrals_agree_with_scipy_and_each_other():
 
 def test_euler_gamma_value():
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-16)
+
+
+def _rel_err(got, pin):
+    # exact: a float converts to Decimal without rounding
+    want = Decimal(pin)
+    return float(abs(Decimal(got) - want) / abs(want))
+
+
+def _pinned_errors():
+    """Relative errors of the port and of scipy, per quantity, over the pins."""
+    port = {"P": [], "Q": [], "Gamma": [], "E1": []}
+    ref = {"P": [], "Q": [], "Gamma": [], "E1": []}
+    for s, t, p, q, upper in GAMMA_PINS:
+        if s > 0:
+            got_p, got_q = _regularized_pq(s, t)
+            for name, got, sci, pin in (
+                ("P", got_p, gammainc(s, t), p),
+                ("Q", got_q, gammaincc(s, t), q),
+                ("Gamma", upper_incomplete_gamma(s, t), gammaincc(s, t) * gamma(s), upper),
+            ):
+                if pin is not None:
+                    port[name].append((_rel_err(got, pin), s, t))
+                    ref[name].append(_rel_err(float(sci), pin))
+        elif upper is not None:
+            port["Gamma"].append((_rel_err(upper_incomplete_gamma(s, t), upper), s, t))
+    for x, pin in E1_PINS:
+        if pin is not None:
+            port["E1"].append((_rel_err(exp_integral_e1(x), pin), x, None))
+            ref["E1"].append(_rel_err(float(exp1(x)), pin))
+    return port, ref
+
+
+_PORT_ERRORS, _SCIPY_ERRORS = _pinned_errors()
+
+
+@pytest.mark.parametrize("name", ["P", "Q", "Gamma", "E1"])
+def test_every_pinned_value_within_1e14(name):
+    errors = _PORT_ERRORS[name]
+    assert len(errors) > 15
+    worst = max(errors)
+    assert worst[0] <= 1e-14, worst
+
+
+@pytest.mark.parametrize("name", ["P", "Q", "Gamma", "E1"])
+def test_port_no_less_accurate_than_scipy_on_the_pins(name):
+    # scipy's error over the positive orders and E1 points it covers; the
+    # negative orders have no scipy counterpart and are held to 1e-14 above
+    ours = max(e for e, s, _ in _PORT_ERRORS[name] if s > 0)
+    assert ours <= max(_SCIPY_ERRORS[name])
+
+
+def test_negative_order_lands_on_the_requested_order():
+    # -0.2 + 1 rounds up, so stepping the base order 0.8 back by 1 once
+    # missed -0.2 and a second step returned Gamma(-1.2, a)
+    want = 0.5683268819915205527535771677481003908351  # mpmath, 40 digits
+    assert upper_incomplete_gamma(-0.2, 0.5) == pytest.approx(want, rel=1e-14)
+
+
+_ORDERS = st.floats(0.01, 60.0)
+_POINTS = st.floats(1e-6, 700.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORDERS, _POINTS)
+def test_p_plus_q_is_one(s, t):
+    p, q = _regularized_pq(s, t)
+    assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
+    assert abs(p + q - 1.0) <= 5e-16
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40 * 1024).map(lambda k: k / 1024), st.floats(1e-6, 500.0))
+def test_upper_gamma_recurrence_holds_to_rounding(s, t):
+    # s on a 1/1024 grid, so s + 1 is exact and both sides share the order
+    lhs = upper_incomplete_gamma(s + 1.0, t)
+    rhs = s * upper_incomplete_gamma(s, t) + t**s * math.exp(-t)
+    assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORDERS, _POINTS, st.floats(1e-12, 1.0))
+def test_q_decreases_in_t(s, t, step):
+    # strictly in exact arithmetic; allowed to tie or wobble by rounding
+    t2 = t * (1.0 + step)
+    assert _regularized_pq(s, t2)[1] <= _regularized_pq(s, t)[1] * (1.0 + 1e-15)
