@@ -45,7 +45,7 @@ from .marginals import (
     uni_tvar,
     uni_var,
 )
-from .orthant import lower_rvar, lower_tvar, orthant_curve, upper_rvar, upper_tvar
+from .orthant import orthant_curve
 from .robustness import branch_label, sensitivity_profile
 
 _CSV_HEADER = "x_fixed,value,kind,alpha1,alpha2,fixed_index"
@@ -125,12 +125,20 @@ def _merge_config(cfg: RunConfig, path: str) -> RunConfig:
     return replace(cfg, **{k: v for k, v in kv.items() if getattr(cfg, k) is None})
 
 
-_MARGIN_KEYS = {
-    "gev": ("mu", "sigma", "xi"),
-    "gpd": ("u", "sigma", "xi", "zeta"),
-    "weibull": ("shape", "scale"),
-    "exponential": ("lam",),
-    "uniform": ("lo", "hi"),
+# family -> (model class, parameter keys in constructor order)
+_MARGINS = {
+    "gev": (GEV, ("mu", "sigma", "xi")),
+    "gpd": (GPDTail, ("u", "sigma", "xi", "zeta")),
+    "weibull": (Weibull, ("shape", "scale")),
+    "exponential": (Exponential, ("lam",)),
+    "uniform": (Uniform, ("lo", "hi")),
+}
+
+_COPULAS = {
+    "independence": (Independence, ()),
+    "comonotone": (Comonotone, ()),
+    "countermonotone": (Countermonotone, ()),
+    "gumbel": (Gumbel, ("theta",)),
 }
 
 
@@ -152,23 +160,15 @@ def parse_margin(spec: str):
     if not tokens:
         raise DomainError("empty margin specification")
     family = tokens[0].lower()
-    if family not in _MARGIN_KEYS:
+    if family not in _MARGINS:
         raise DomainError(f"unknown margin family {family!r}")
     kv = _parse_kv(tokens[1:])
-    expected = _MARGIN_KEYS[family]
+    cls, expected = _MARGINS[family]
     if set(kv) != set(expected):
         raise DomainError(
             f"{family} needs parameters {', '.join(expected)}; got {', '.join(sorted(kv)) or 'none'}"
         )
-    if family == "gev":
-        return GEV(kv["mu"], kv["sigma"], kv["xi"])
-    if family == "gpd":
-        return GPDTail(kv["u"], kv["sigma"], kv["xi"], kv["zeta"])
-    if family == "weibull":
-        return Weibull(kv["shape"], kv["scale"])
-    if family == "exponential":
-        return Exponential(kv["lam"])
-    return Uniform(kv["lo"], kv["hi"])
+    return cls(*(kv[k] for k in expected))
 
 
 def parse_copula(spec: str):
@@ -177,23 +177,14 @@ def parse_copula(spec: str):
         raise DomainError("empty copula specification")
     kind = tokens[0].lower()
     kv = _parse_kv(tokens[1:])
-    if kind == "independence":
-        if kv:
-            raise DomainError("independence takes no parameters")
-        return Independence()
-    if kind == "comonotone":
-        if kv:
-            raise DomainError("comonotone takes no parameters")
-        return Comonotone()
-    if kind == "countermonotone":
-        if kv:
-            raise DomainError("countermonotone takes no parameters")
-        return Countermonotone()
-    if kind == "gumbel":
-        if set(kv) != {"theta"}:
-            raise DomainError("gumbel needs exactly theta=<value>")
-        return Gumbel(kv["theta"])
-    raise DomainError(f"unknown copula {kind!r}")
+    if kind not in _COPULAS:
+        raise DomainError(f"unknown copula {kind!r}")
+    cls, expected = _COPULAS[kind]
+    if set(kv) != set(expected):
+        if not expected:
+            raise DomainError(f"{kind} takes no parameters")
+        raise DomainError(f"{kind} needs exactly {' '.join(k + '=<value>' for k in expected)}")
+    return cls(*(kv[k] for k in expected))
 
 
 def _need(cfg: RunConfig, name: str) -> str:
@@ -250,7 +241,7 @@ def _open_out(cfg: RunConfig):
 
 def cmd_uni(cfg: RunConfig) -> int:
     if cfg.margin1 is None:
-        flags = ", ".join(f"--{fam}" for fam in _MARGIN_KEYS)
+        flags = ", ".join(f"--{fam}" for fam in _MARGINS)
         raise DomainError(f"uni requires one margin family flag ({flags})")
     margin = parse_margin(cfg.margin1)
     measure = _need(cfg, "measure").lower()
@@ -455,14 +446,19 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_margin_flags(p: argparse.ArgumentParser, single: bool) -> None:
-    if single:
-        for fam in _MARGIN_KEYS:
+def _add_flags(p: argparse.ArgumentParser, margins: str | None, options: str) -> None:
+    """Margin flags ("single" for uni, "pair" for the bivariate commands), then --options."""
+    if margins == "single":
+        for fam in _MARGINS:
             p.add_argument(f"--{fam}", nargs="+", metavar="K=V")
-    else:
-        p.add_argument("--margin1", nargs="+", metavar="TOK")
-        p.add_argument("--margin2", nargs="+", metavar="TOK")
-        p.add_argument("--copula", nargs="+", metavar="TOK")
+    elif margins == "pair":
+        for name in ("margin1", "margin2", "copula"):
+            p.add_argument(f"--{name}", nargs="+", metavar="TOK")
+    for name in options.split():
+        if name == "measure":
+            p.add_argument("--measure", choices=["var", "tvar", "rvar"])
+        else:
+            p.add_argument(f"--{name}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,64 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rvar", description="Range value at risk calculations"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_uni = sub.add_parser("uni", help="univariate measures")
-    _add_margin_flags(p_uni, single=True)
-    p_uni.add_argument("--measure", choices=["var", "tvar", "rvar"])
-    p_uni.add_argument("--alpha")
-    p_uni.add_argument("--alpha1")
-    p_uni.add_argument("--alpha2")
-    p_uni.add_argument("--config")
-
-    p_curve = sub.add_parser("curve", help="orthant measure curves")
-    _add_margin_flags(p_curve, single=False)
-    p_curve.add_argument("--kind")
-    p_curve.add_argument("--alpha1")
-    p_curve.add_argument("--alpha2")
-    p_curve.add_argument("--grid")
-    p_curve.add_argument("--fixed-index", dest="fixed_index")
-    p_curve.add_argument("--out")
-    p_curve.add_argument("--config")
-
-    p_emp = sub.add_parser("empirical", help="estimators on CSV data")
-    p_emp.add_argument("--input")
-    p_emp.add_argument("--kind")
-    p_emp.add_argument("--alpha1")
-    p_emp.add_argument("--alpha2")
-    p_emp.add_argument("--m")
-    p_emp.add_argument("--grid")
-    p_emp.add_argument("--fixed-index", dest="fixed_index")
-    p_emp.add_argument("--out")
-    p_emp.add_argument("--config")
-
-    p_sim = sub.add_parser("simulate", help="estimator consistency experiment")
-    _add_margin_flags(p_sim, single=False)
-    p_sim.add_argument("--reps")
-    p_sim.add_argument("--n")
-    p_sim.add_argument("--m")
-    p_sim.add_argument("--alpha1")
-    p_sim.add_argument("--alpha2")
-    p_sim.add_argument("--grid")
-    p_sim.add_argument("--fixed-index", dest="fixed_index")
-    p_sim.add_argument("--seed")
-    p_sim.add_argument("--out")
-    p_sim.add_argument("--config")
-
-    p_sens = sub.add_parser("sensitivity", help="contamination sensitivity curves")
-    _add_margin_flags(p_sens, single=False)
-    p_sens.add_argument("--target")
-    p_sens.add_argument("--alpha")
-    p_sens.add_argument("--alpha1")
-    p_sens.add_argument("--alpha2")
-    p_sens.add_argument("--x-fixed", dest="x_fixed")
-    p_sens.add_argument("--fixed-index", dest="fixed_index")
-    p_sens.add_argument("--z-list", dest="z_list")
-    p_sens.add_argument("--z-min", dest="z_min")
-    p_sens.add_argument("--z-max", dest="z_max")
-    p_sens.add_argument("--z-count", dest="z_count")
-    p_sens.add_argument("--out")
-    p_sens.add_argument("--config")
-
+    _add_flags(sub.add_parser("uni", help="univariate measures"), "single",
+               "measure alpha alpha1 alpha2 config")
+    _add_flags(sub.add_parser("curve", help="orthant measure curves"), "pair",
+               "kind alpha1 alpha2 grid fixed-index out config")
+    _add_flags(sub.add_parser("empirical", help="estimators on CSV data"), None,
+               "input kind alpha1 alpha2 m grid fixed-index out config")
+    _add_flags(sub.add_parser("simulate", help="estimator consistency experiment"), "pair",
+               "reps n m alpha1 alpha2 grid fixed-index seed out config")
+    _add_flags(sub.add_parser("sensitivity", help="contamination sensitivity curves"), "pair",
+               "target alpha alpha1 alpha2 x-fixed fixed-index z-list z-min z-max z-count out config")
     return parser
 
 
@@ -535,7 +483,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     kv = {"command": args.command}
     if args.command == "uni":
         chosen = []
-        for fam in _MARGIN_KEYS:
+        for fam in _MARGINS:
             tokens = getattr(args, fam, None)
             if tokens is not None:
                 chosen.append(f"{fam} " + " ".join(tokens) if tokens else fam)
@@ -548,14 +496,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             tokens = getattr(args, name, None)
             if tokens is not None:
                 kv[name] = " ".join(tokens)
-    for name in (
-        "measure", "kind", "target", "alpha", "alpha1", "alpha2", "m", "n",
-        "reps", "grid", "seed", "fixed_index", "x_fixed", "z_list", "z_min",
-        "z_max", "z_count", "input", "out",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            kv[name] = value
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if f.name not in kv and value is not None:  # margins and copula are joined above
+            kv[f.name] = value
     cfg = RunConfig(**kv)
     if getattr(args, "config", None):
         cfg = _merge_config(cfg, args.config)

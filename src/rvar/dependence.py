@@ -2,7 +2,11 @@
 
 Copulas: Independence (u v), Comonotone (min), Countermonotone
 (max(u+v-1, 0), a valid cdf for d = 2 only), and Gumbel with parameter
-theta >= 1 (theta = 1 is independence).
+theta >= 1 (theta = 1 is independence). Each carries its ``cdf(u, v)``
+and its sampler of uniforms, ``uniforms(rng, n)``. Pi, M and W also carry
+their level maps at a fixed first coordinate a, both affine in u:
+``lower_inverse(a, u)`` solves C(a, v) = u and ``upper_inverse(a, u)``
+solves v - C(a, v) = u - a (the joint survival reaching 1 - u).
 
 Sampling is seed-deterministic: a fixed seed yields a bit-identical
 sample matrix. The Gumbel sampler uses the positive-stable frailty
@@ -23,17 +27,50 @@ _U_HI = 1.0 - 2.0**-53
 
 @dataclass(frozen=True)
 class Independence:
-    pass
+    def cdf(self, u: float, v: float) -> float:
+        return u * v
+
+    def lower_inverse(self, a: float, u: float) -> float:
+        return u / a
+
+    def upper_inverse(self, a: float, u: float) -> float:
+        return (u - a) / (1.0 - a)
+
+    def uniforms(self, rng, n: int) -> np.ndarray:
+        return rng.random(size=(n, 2))
 
 
 @dataclass(frozen=True)
 class Comonotone:
-    pass
+    def cdf(self, u: float, v: float) -> float:
+        return min(u, v)
+
+    def lower_inverse(self, a: float, u: float) -> float:
+        return u
+
+    def upper_inverse(self, a: float, u: float) -> float:
+        return u
+
+    def uniforms(self, rng, n: int) -> np.ndarray:
+        u = rng.random(size=n)
+        return np.column_stack([u, u])
 
 
 @dataclass(frozen=True)
 class Countermonotone:
-    pass
+    def cdf(self, u: float, v: float) -> float:
+        return max(u + v - 1.0, 0.0)
+
+    def lower_inverse(self, a: float, u: float) -> float:
+        # 1 - a is exact for a >= 1/2, so the sum rounds once
+        return u + (1.0 - a)
+
+    def upper_inverse(self, a: float, u: float) -> float:
+        return u - a
+
+    def uniforms(self, rng, n: int) -> np.ndarray:
+        u = rng.random(size=n)
+        return np.column_stack([u, 1.0 - u])
 
 
 @dataclass(frozen=True)
@@ -44,21 +81,7 @@ class Gumbel:
         if not (math.isfinite(self.theta) and self.theta >= 1.0):
             raise DomainError(f"Gumbel copula requires a finite theta >= 1, got {self.theta}")
 
-
-COPULA_TYPES = (Independence, Comonotone, Countermonotone, Gumbel)
-
-
-def copula_cdf(c, u: float, v: float) -> float:
-    """C(u, v) on the closed unit square."""
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise DomainError(f"copula arguments must lie in [0,1], got ({u}, {v})")
-    if isinstance(c, Independence):
-        return u * v
-    if isinstance(c, Comonotone):
-        return min(u, v)
-    if isinstance(c, Countermonotone):
-        return max(u + v - 1.0, 0.0)
-    if isinstance(c, Gumbel):
+    def cdf(self, u: float, v: float) -> float:
         if u == 0.0 or v == 0.0:
             return 0.0
         if u == 1.0:
@@ -70,10 +93,23 @@ def copula_cdf(c, u: float, v: float) -> float:
             u, lu, lv = v, lv, lu
         # ((-ln u)^theta + (-ln v)^theta)^(1/theta) with the larger term
         # factored out, so it neither under- nor overflows at large theta
-        val = math.exp(-lu * (1.0 + (lv / lu) ** c.theta) ** (1.0 / c.theta))
+        val = math.exp(-lu * (1.0 + (lv / lu) ** self.theta) ** (1.0 / self.theta))
         # the exp(ln u) round trip can land a few ulps above the bound min(u, v)
         return val if val < u else u
-    raise DomainError(f"unknown copula {c!r}")
+
+    def uniforms(self, rng, n: int) -> np.ndarray:
+        if self.theta == 1.0:
+            return rng.random(size=(n, 2))
+        s = _stable_frailty(rng, n, self.theta)
+        e = rng.exponential(1.0, size=(n, 2))
+        return np.exp(-((e / s[:, None]) ** (1.0 / self.theta)))
+
+
+def copula_cdf(c, u: float, v: float) -> float:
+    """C(u, v) on the closed unit square."""
+    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+        raise DomainError(f"copula arguments must lie in [0,1], got ({u}, {v})")
+    return c.cdf(u, v)
 
 
 @dataclass(frozen=True)
@@ -85,12 +121,12 @@ class BivariateModel:
     copula: object
 
     def joint_cdf(self, x1: float, x2: float) -> float:
-        return copula_cdf(self.copula, self.margin1.cdf(x1), self.margin2.cdf(x2))
+        return self.copula.cdf(self.margin1.cdf(x1), self.margin2.cdf(x2))
 
     def joint_survival(self, x1: float, x2: float) -> float:
         u = self.margin1.cdf(x1)
         v = self.margin2.cdf(x2)
-        return 1.0 - u - v + copula_cdf(self.copula, u, v)
+        return 1.0 - u - v + self.copula.cdf(u, v)
 
     def sample(self, n: int, seed: int):
         return sample(self, n, seed)
@@ -113,24 +149,6 @@ def _stable_frailty(rng, n: int, theta: float) -> np.ndarray:
     return s
 
 
-def _copula_uniforms(c, rng, n: int) -> np.ndarray:
-    if isinstance(c, Independence):
-        return rng.random(size=(n, 2))
-    if isinstance(c, Comonotone):
-        u = rng.random(size=n)
-        return np.column_stack([u, u])
-    if isinstance(c, Countermonotone):
-        u = rng.random(size=n)
-        return np.column_stack([u, 1.0 - u])
-    if isinstance(c, Gumbel):
-        if c.theta == 1.0:
-            return rng.random(size=(n, 2))
-        s = _stable_frailty(rng, n, c.theta)
-        e = rng.exponential(1.0, size=(n, 2))
-        return np.exp(-((e / s[:, None]) ** (1.0 / c.theta)))
-    raise DomainError(f"unknown copula {c!r}")
-
-
 def sample(b: BivariateModel, n: int, seed: int):
     """n iid draws from the bivariate model; deterministic per seed."""
     if n < 1:
@@ -138,7 +156,7 @@ def sample(b: BivariateModel, n: int, seed: int):
     from .empirical import SampleMatrix  # SampleMatrix lives with the estimators
 
     rng = np.random.default_rng(seed)
-    uv = _copula_uniforms(b.copula, rng, n)
+    uv = b.copula.uniforms(rng, n)
     np.clip(uv, _U_LO, _U_HI, out=uv)
     x1 = b.margin1.quantile_array(uv[:, 0])
     x2 = b.margin2.quantile_array(uv[:, 1])

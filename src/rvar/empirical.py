@@ -20,15 +20,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .dependence import BivariateModel, Independence, sample
+from .dependence import BivariateModel, sample
 from .errors import (
     DegenerateRangeError,
     DomainError,
     EmptyConditioningError,
     InfeasibleLevelError,
 )
-from .marginals import GEV, LevelRange
-from .orthant import closed_lower_rvar_gev_indep, lower_rvar
+from .marginals import LevelRange
+from .orthant import _band_mapped_rvar, lower_rvar
 
 _INDEX_FUZZ = 1e-9
 
@@ -274,16 +274,13 @@ def consistency_experiment(
         raise DomainError("the experiment needs alpha2 below 1")
     grid = np.asarray(grid, dtype=float)
     free_index = 2 if fixed_index == 1 else 1
-    closed_ok = (
-        isinstance(b.copula, Independence)
-        and isinstance(b.margin1, GEV)
-        and isinstance(b.margin2, GEV)
-    )
+    # a copula with a level map has the model value in closed form
+    closed = hasattr(b.copula, "lower_inverse")
     theo = np.full(grid.size, np.nan)
     for gi, x in enumerate(grid):
         try:
-            if closed_ok:
-                theo[gi] = closed_lower_rvar_gev_indep(b, cfg.levels, float(x), fixed_index)
+            if closed:
+                theo[gi] = _band_mapped_rvar(b.copula, b, cfg.levels, float(x), fixed_index, upper=False)
             else:
                 theo[gi] = lower_rvar(b, cfg.levels, float(x), fixed_index)
         except DomainError:

@@ -82,6 +82,14 @@ class LevelRange:
         return self.alpha2 - self.alpha1
 
 
+def _exp_mean(log_mean: float, family: str) -> float:
+    """e^log_mean for a band mean summed as a logarithm, or DomainError past the double range."""
+    try:
+        return math.exp(log_mean)
+    except OverflowError:
+        raise DomainError(f"{family} band mean exceeds the double range") from None
+
+
 def _require_finite(model) -> None:
     """Raise DomainError unless every parameter of a model is finite."""
     for f in fields(model):
@@ -139,7 +147,10 @@ class GEV:
         ln_t = math.log(t)
         if abs(self.xi) < XI_ZERO_TOL:
             return self.mu - self.sigma * ln_t
-        return self.mu + self.sigma * math.expm1(-self.xi * ln_t) / self.xi
+        try:
+            return self.mu + self.sigma * math.expm1(-self.xi * ln_t) / self.xi
+        except OverflowError:
+            raise DomainError(f"GEV quantile at -ln p = {t} exceeds the double range") from None
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         t = -np.log(p)
@@ -165,7 +176,14 @@ class GEV:
             g2 = upper_incomplete_gamma(1.0 - self.xi, t2)
             g1 = upper_incomplete_gamma(1.0 - self.xi, -math.log(a1)) if a1 > 0 else 0.0
             return self.mu - self.sigma / (self.xi * width) * (width - g2 + g1)
-        band = incomplete_gamma_band(1.0 - self.xi, t2, -math.log(a1) if a1 > 0 else math.inf)
+        t1 = -math.log(a1) if a1 > 0 else math.inf
+        if 1.0 - self.xi >= LOG_BAND_ORDER:
+            # xi <= -49: the regularized tails underflow (and past xi = -170.6
+            # Gamma(1 - xi) overflows), so sigma band / (|xi| w) comes from logs
+            log_band = log_incomplete_gamma_band(1.0 - self.xi, t2, t1)
+            term = _exp_mean(math.log(self.sigma / -self.xi) + log_band - math.log(width), "GEV")
+            return self.mu - self.sigma / self.xi - term
+        band = incomplete_gamma_band(1.0 - self.xi, t2, t1)
         return self.mu - self.sigma / (self.xi * width) * (width - band)
 
     def mean(self):
@@ -309,11 +327,20 @@ class Weibull:
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
-        return self.scale * (-math.log1p(-p)) ** (1.0 / self.shape)
+        return self._from_neg_log_sf(-math.log1p(-p))
 
     def sf_quantile(self, s: float) -> float:
         _check_prob_open(s, "s")
-        return self.scale * (-math.log(s)) ** (1.0 / self.shape)
+        return self._from_neg_log_sf(-math.log(s))
+
+    def _from_neg_log_sf(self, t: float) -> float:
+        # t = -ln(1 - p) > 0
+        try:
+            return self.scale * t ** (1.0 / self.shape)
+        except OverflowError:
+            raise DomainError(
+                f"Weibull quantile at -ln(1 - p) = {t} exceeds the double range"
+            ) from None
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
@@ -327,7 +354,7 @@ class Weibull:
             return self.scale * incomplete_gamma_band(s, t1, t2) / (a2 - a1)
         # levels below 1 give t1 <= 36.7 < s, where the log form holds
         log_band = log_incomplete_gamma_band(s, t1, t2)
-        return math.exp(math.log(self.scale) - math.log(a2 - a1) + log_band)
+        return _exp_mean(math.log(self.scale) - math.log(a2 - a1) + log_band, "Weibull")
 
     def mean(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
@@ -433,9 +460,6 @@ class Uniform:
         return self.hi - self.lo
 
 
-MARGINAL_TYPES = (GEV, GPDTail, Weibull, Exponential, Uniform)
-
-
 def uni_var(m, alpha: float) -> float:
     """VaR_alpha(X) = inf{x : F(x) >= alpha}, the alpha-quantile."""
     _check_prob_open(alpha, "alpha")
@@ -477,33 +501,27 @@ def uni_tvar(m, alpha: float):
     return uni_rvar(m, LevelRange(alpha, 1.0))
 
 
-def tvar_var_ratio(m, alpha: float) -> float:
-    """TVaR_alpha / VaR_alpha for shape-parameterized tail models."""
-    if isinstance(m, GEV):
-        if abs(m.xi) < XI_ZERO_TOL:
-            raise DomainError("TVaR/VaR ratio undefined on the GEV xi=0 branch")
-    elif not isinstance(m, GPDTail):
-        raise DomainError("tvar_var_ratio defined for GEV and GPDTail models")
+def _tail_shape(m) -> float:
+    """The shape xi of a GEV or GPD tail model with a finite, shape-driven TVaR/VaR limit."""
+    if not isinstance(m, (GEV, GPDTail)):
+        raise DomainError("tail ratios are defined for GEV and GPDTail models")
+    if isinstance(m, GEV) and abs(m.xi) < XI_ZERO_TOL:
+        raise DomainError("tail ratios are undefined on the GEV xi=0 branch")
     if m.xi >= 1.0:
         raise DomainError(f"TVaR diverges for xi >= 1 (xi={m.xi})")
-    t = uni_tvar(m, alpha)
-    v = uni_var(m, alpha)
-    return t / v
+    return m.xi
+
+
+def tvar_var_ratio(m, alpha: float) -> float:
+    """TVaR_alpha / VaR_alpha for shape-parameterized tail models."""
+    _tail_shape(m)
+    return uni_tvar(m, alpha) / uni_var(m, alpha)
 
 
 def ratio_limit(m) -> float:
     """Limit of TVaR_alpha / VaR_alpha as alpha -> 1.
 
-    (1 - xi)^(-1) for heavy/GPD-exponential tails, 1 for short tails.
+    (1 - xi)^(-1) for heavy tails, 1 for short and GPD-exponential tails.
     """
-    if isinstance(m, GEV):
-        if abs(m.xi) < XI_ZERO_TOL:
-            raise DomainError("ratio limit undefined on the GEV xi=0 branch")
-        if m.xi >= 1.0:
-            raise DomainError(f"TVaR diverges for xi >= 1 (xi={m.xi})")
-        return 1.0 / (1.0 - m.xi) if m.xi > 0 else 1.0
-    if isinstance(m, GPDTail):
-        if m.xi >= 1.0:
-            raise DomainError(f"TVaR diverges for xi >= 1 (xi={m.xi})")
-        return 1.0 / (1.0 - m.xi) if m.xi >= 0 else 1.0
-    raise DomainError("ratio_limit defined for GEV and GPDTail models")
+    xi = _tail_shape(m)
+    return 1.0 / (1.0 - xi) if xi > 0 else 1.0

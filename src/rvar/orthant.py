@@ -2,15 +2,23 @@
 
 Lower-orthant measures condition on the joint cdf staying above a level
 with one coordinate pinned; upper-orthant measures do the same through the
-joint survival function.  Closed forms are provided for independent GEV
-margins and for exponential margins under the three Frechet-bound copulas;
-everything else goes through root-finding plus quadrature.
+joint survival function. In general an orthant VaR is a root in the free
+coordinate and its band average an integral, by ``quad``, the package's
+own port of QUADPACK's QAGS (``rvar._quadpack``).
 
-The band average of an orthant VaR is integrated by ``quad``, the package's
-own port of QUADPACK's QAGS (``rvar._quadpack``); the GEV closed forms take
-their incomplete gamma and E1 from ``specfun``, and
-``comonotonic_aggregate_rvar`` bisects its total quantile in p. No measure
-loads scipy.
+Closed forms = ``band_mean`` on the copula's level map. Where the copula's
+conditional inverse at the pinned level a is affine in the level (Pi, M
+and W, see ``rvar.dependence``), the orthant RVaR is the free margin's
+band average on the mapped band: for the lower orthant Pi gives
+[alpha1/a, alpha2], M [alpha1, min(a, alpha2)] and W
+[alpha1 + 1 - a, alpha2]. ``closed_lower_rvar_gev_indep``,
+``closed_upper_rvar_gev_indep`` and ``closed_lower_rvar_exponential`` are
+that map restricted to the models they name; the root-and-quadrature path
+stays a separate derivation that the tests and the benchmark check them
+against.
+
+``comonotonic_aggregate_rvar`` bisects its total quantile in p. No
+measure loads scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from .marginals import (
     XI_ZERO_TOL,
     is_divergent,
 )
-from .specfun import exp_integral_e1, upper_incomplete_gamma
 
 CURVE_TAIL_EPS = 1e-6
 DEGENERACY_TOL = 1e-12
@@ -326,90 +333,66 @@ def upper_tvar(b: BivariateModel, alpha: float, x_fixed: float, fixed_index: int
     return upper_rvar(b, LevelRange(alpha, 1.0), x_fixed, fixed_index)
 
 
-def _require_gev_indep(b: BivariateModel, fixed_index: int):
-    if not _is_independent(b.copula):
+def _band_mapped_rvar(
+    copula, b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int, upper: bool
+):
+    """Orthant RVaR under a copula whose level maps are affine in the level.
+
+    With a = F_fixed(x_fixed) the lower orthant VaR at level u is the free
+    quantile at lower_inverse(a, u), so its average over the attainable band
+    [alpha1, C(a, alpha2)] is the free margin's band mean between the mapped
+    ends; the upper orthant maps [a + alpha1 - C(a, alpha1), alpha2] through
+    upper_inverse. The end that would undo C is alpha2 capped where C(a, .)
+    reaches a (alpha1 floored where the joint survival starts to fall): the
+    round trip through C and back divides a rounding by 1 - a, up to 4e-12
+    relative at a = 0.999.
+    """
+    _check_x_fixed(x_fixed)
+    fixed_m, free_m = _margins(b, fixed_index)
+    a1, a2 = levels.alpha1, levels.alpha2
+    a = fixed_m.cdf(x_fixed)
+    if upper:
+        c_bot = a + a1 - copula.cdf(a, a1)
+        if c_bot >= a2 - DEGENERACY_TOL:
+            raise DegenerateRangeError(
+                f"attainable band bottom {c_bot:.6g} reaches alpha2={a2:.6g}"
+            )
+        inv = copula.upper_inverse
+        return free_m.band_mean(max(a1, inv(a, a)), inv(a, a2))
+    b_top = copula.cdf(a, a2)
+    if b_top <= a1 + DEGENERACY_TOL:
+        raise DegenerateRangeError(
+            f"attainable band top {b_top:.6g} does not exceed alpha1={a1:.6g}"
+        )
+    inv = copula.lower_inverse
+    return free_m.band_mean(inv(a, a1), min(a2, inv(a, a)))
+
+
+def _require_gev_indep(b: BivariateModel, fixed_index: int) -> None:
+    if b.copula != Independence() and b.copula != Gumbel(1.0):
         raise DomainError("closed form requires the independence copula")
     fixed_m, free_m = _margins(b, fixed_index)
     if not isinstance(fixed_m, GEV) or not isinstance(free_m, GEV):
         raise DomainError("closed form requires GEV margins on both coordinates")
-    return fixed_m, free_m
-
-
-def _lnln(ratio: float) -> float:
-    return math.log(math.log(ratio))
 
 
 def closed_lower_rvar_gev_indep(
     b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1
 ):
     """Closed-form lower orthant RVaR for independent GEV margins."""
-    _check_x_fixed(x_fixed)
-    fixed_m, free_m = _require_gev_indep(b, fixed_index)
-    a1, a2 = levels.alpha1, levels.alpha2
-    a_fixed = fixed_m.cdf(x_fixed)
-    b_top = a_fixed * a2
-    if b_top <= a1 + DEGENERACY_TOL:
-        raise DegenerateRangeError(
-            f"attainable band top {b_top:.6g} does not exceed alpha1={a1:.6g}"
-        )
-    xi, mu, sigma = free_m.xi, free_m.mu, free_m.sigma
-    if a2 >= 1.0:
-        if xi >= 1.0 or abs(xi) < XI_ZERO_TOL:
-            return DIVERGES
-    width = b_top - a1
-    t1 = math.inf if a1 <= 0.0 else math.log(a_fixed / a1)
-    if abs(xi) < XI_ZERO_TOL:
-        t2 = math.log(a_fixed / b_top)
-        e1 = 0.0 if math.isinf(t1) else exp_integral_e1(t1)
-        low_term = 0.0 if a1 <= 0.0 else a1 * _lnln(a_fixed / a1)
-        val = (
-            b_top * _lnln(a_fixed / b_top)
-            - low_term
-            + a_fixed * (exp_integral_e1(t2) - e1)
-        )
-        return mu - sigma * val / width
-    t2 = 0.0 if a2 >= 1.0 else math.log(a_fixed / b_top)
-    g2 = upper_incomplete_gamma(1.0 - xi, t2)
-    g1 = 0.0 if math.isinf(t1) else upper_incomplete_gamma(1.0 - xi, t1)
-    return mu - (sigma / xi) * (1.0 - a_fixed * (g2 - g1) / width)
+    _require_gev_indep(b, fixed_index)
+    return _band_mapped_rvar(Independence(), b, levels, x_fixed, fixed_index, upper=False)
 
 
 def closed_upper_rvar_gev_indep(
     b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1
 ):
     """Closed-form upper orthant RVaR for independent GEV margins."""
-    _check_x_fixed(x_fixed)
-    fixed_m, free_m = _require_gev_indep(b, fixed_index)
-    a1, a2 = levels.alpha1, levels.alpha2
-    a_fixed = fixed_m.cdf(x_fixed)
-    c_bot = a_fixed + a1 * (1.0 - a_fixed)
-    if c_bot >= a2 - DEGENERACY_TOL:
-        raise DegenerateRangeError(
-            f"attainable band bottom {c_bot:.6g} reaches alpha2={a2:.6g}"
-        )
-    xi, mu, sigma = free_m.xi, free_m.mu, free_m.sigma
-    if a2 >= 1.0 and (xi >= 1.0 or abs(xi) < XI_ZERO_TOL):
-        return DIVERGES
-    s_fixed = 1.0 - a_fixed
-    width = a2 - c_bot
-    t2 = 0.0 if a2 >= 1.0 else math.log(s_fixed / (a2 - a_fixed))
-    t1 = math.inf if c_bot == a_fixed else math.log(s_fixed / (c_bot - a_fixed))
-    if abs(xi) < XI_ZERO_TOL:
-        term2 = (a2 - a_fixed) * _lnln(s_fixed / (a2 - a_fixed))
-        term1 = 0.0 if c_bot == a_fixed else (c_bot - a_fixed) * _lnln(s_fixed / (c_bot - a_fixed))
-        e2 = exp_integral_e1(t2)
-        e1 = 0.0 if math.isinf(t1) else exp_integral_e1(t1)
-        return mu - sigma * (term2 - term1) / width - sigma * s_fixed * (e2 - e1) / width
-    g2 = upper_incomplete_gamma(1.0 - xi, t2)
-    g1 = 0.0 if math.isinf(t1) else upper_incomplete_gamma(1.0 - xi, t1)
-    return mu - (sigma / xi) * (1.0 - s_fixed * (g2 - g1) / width)
+    _require_gev_indep(b, fixed_index)
+    return _band_mapped_rvar(Independence(), b, levels, x_fixed, fixed_index, upper=True)
 
 
-def _xlogx(t: float) -> float:
-    return 0.0 if t <= 0.0 else t * math.log(t)
-
-
-_COPULA_KINDS = {"pi": Independence, "m": Comonotone, "w": Countermonotone}
+_COPULA_KINDS = {Independence(): "pi", Comonotone(): "m", Countermonotone(): "w"}
 
 
 def closed_lower_rvar_exponential(
@@ -420,44 +403,19 @@ def closed_lower_rvar_exponential(
     fixed_index: int = 1,
 ) -> float:
     """Closed-form lower orthant RVaR for exponential margins under Pi, M or W."""
-    _check_x_fixed(x_fixed)
     fixed_m, free_m = _margins(b, fixed_index)
     if not isinstance(fixed_m, Exponential) or not isinstance(free_m, Exponential):
         raise DomainError("closed form requires exponential margins")
-    if isinstance(b.copula, Independence):
-        inferred = "pi"
-    elif isinstance(b.copula, Comonotone):
-        inferred = "m"
-    elif isinstance(b.copula, Countermonotone):
-        inferred = "w"
-    else:
+    inferred = _COPULA_KINDS.get(b.copula)
+    if inferred is None:
         raise DomainError("closed form requires the Pi, M or W copula")
     if copula_kind is not None:
         wanted = copula_kind.strip().lower()
-        if wanted not in _COPULA_KINDS:
+        if wanted not in _COPULA_KINDS.values():
             raise DomainError(f"unknown copula kind {copula_kind!r}")
         if wanted != inferred:
             raise DomainError(f"model copula is {inferred!r}, not {wanted!r}")
-    a1, a2 = levels.alpha1, levels.alpha2
-    ff = fixed_m.cdf(x_fixed)
-    lam = free_m.lam
-    if inferred == "m":
-        bm = min(ff, a2)
-        if bm <= a1 + DEGENERACY_TOL:
-            raise DegenerateRangeError("attainable band collapses for the M copula")
-        num = _xlogx(1.0 - bm) - _xlogx(1.0 - a1) + (bm - a1)
-        return num / (lam * (bm - a1))
-    if inferred == "pi":
-        b_top = a2 * ff
-        if b_top <= a1 + DEGENERACY_TOL:
-            raise DegenerateRangeError("attainable band collapses for the Pi copula")
-        num = ff * _xlogx(1.0 - a2) - (ff - a1) * math.log((ff - a1) / ff) + (b_top - a1)
-        return num / (lam * (b_top - a1))
-    b_top = ff + a2 - 1.0
-    if b_top <= a1 + DEGENERACY_TOL:
-        raise DegenerateRangeError("attainable band collapses for the W copula")
-    num = _xlogx(1.0 - a2) - _xlogx(ff - a1) + (b_top - a1)
-    return num / (lam * (b_top - a1))
+    return _band_mapped_rvar(b.copula, b, levels, x_fixed, fixed_index, upper=False)
 
 
 @dataclass(frozen=True)
@@ -469,14 +427,47 @@ class OrthantCurve:
     values: tuple
 
 
-_CURVE_KINDS = (
-    "lower_var",
-    "upper_var",
-    "lower_rvar",
-    "upper_rvar",
-    "lower_tvar",
-    "upper_tvar",
-)
+def _upper_rvar_band(b, lv, fixed_m, free_m, other):
+    # the feasible edge first: where both ends fail, its error is the one raised
+    hi = upper_var(b, lv.alpha2, free_m.quantile(lv.alpha1), fixed_index=other)
+    return fixed_m.quantile(CURVE_TAIL_EPS), hi
+
+
+# kind -> (measure at a fixed point, feasible fixed-coordinate band); the
+# measures are looked up by name at call time, so wrappers installed on the
+# module (tracing, mocking) see every call
+_CURVES = {
+    "lower_var": (
+        lambda b, lv, x, i: lower_var(b, lv.alpha1, x, i),
+        lambda b, lv, fixed_m, free_m, other: (
+            fixed_m.quantile(lv.alpha1), fixed_m.quantile(1.0 - CURVE_TAIL_EPS)),
+    ),
+    "upper_var": (
+        lambda b, lv, x, i: upper_var(b, lv.alpha2, x, i),
+        lambda b, lv, fixed_m, free_m, other: (
+            fixed_m.quantile(CURVE_TAIL_EPS), fixed_m.quantile(lv.alpha2)),
+    ),
+    "lower_rvar": (
+        lambda b, lv, x, i: lower_rvar(b, lv, x, i),
+        lambda b, lv, fixed_m, free_m, other: (
+            lower_var(b, lv.alpha1, free_m.quantile(lv.alpha2), fixed_index=other),
+            fixed_m.quantile(1.0 - CURVE_TAIL_EPS)),
+    ),
+    "upper_rvar": (
+        lambda b, lv, x, i: upper_rvar(b, lv, x, i),
+        _upper_rvar_band,
+    ),
+    "lower_tvar": (
+        lambda b, lv, x, i: lower_tvar(b, lv.alpha1, x, i),
+        lambda b, lv, fixed_m, free_m, other: (
+            fixed_m.quantile(lv.alpha1), fixed_m.quantile(1.0 - CURVE_TAIL_EPS)),
+    ),
+    "upper_tvar": (
+        lambda b, lv, x, i: upper_tvar(b, lv.alpha1, x, i),
+        lambda b, lv, fixed_m, free_m, other: (
+            fixed_m.quantile(CURVE_TAIL_EPS), fixed_m.quantile(1.0 - CURVE_TAIL_EPS)),
+    ),
+}
 
 
 def orthant_curve(
@@ -487,52 +478,24 @@ def orthant_curve(
     grid: int = 200,
 ) -> OrthantCurve:
     """Sample an orthant measure over the feasible fixed-coordinate band."""
-    if kind not in _CURVE_KINDS:
+    if kind not in _CURVES:
         raise DomainError(f"unknown curve kind {kind!r}")
     if grid < 2:
         raise DomainError("grid must have at least 2 points")
+    measure, band = _CURVES[kind]
     fixed_m, free_m = _margins(b, fixed_index)
-    other = 2 if fixed_index == 1 else 1
-    a1, a2 = levels.alpha1, levels.alpha2
-    eps = CURVE_TAIL_EPS
-    if kind == "lower_var":
-        lo, hi = fixed_m.quantile(a1), fixed_m.quantile(1.0 - eps)
-    elif kind == "lower_tvar":
-        lo, hi = fixed_m.quantile(a1), fixed_m.quantile(1.0 - eps)
-    elif kind == "lower_rvar":
-        band_lo = lower_var(b, a1, free_m.quantile(a2), fixed_index=other)
-        lo, hi = band_lo, fixed_m.quantile(1.0 - eps)
-    elif kind == "upper_var":
-        lo, hi = fixed_m.quantile(eps), fixed_m.quantile(a2)
-    elif kind == "upper_tvar":
-        lo, hi = fixed_m.quantile(eps), fixed_m.quantile(1.0 - eps)
-    else:
-        band_hi = upper_var(b, a2, free_m.quantile(a1), fixed_index=other)
-        lo, hi = fixed_m.quantile(eps), band_hi
+    lo, hi = band(b, levels, fixed_m, free_m, 2 if fixed_index == 1 else 1)
     if not hi > lo:
         raise DomainError("empty fixed-coordinate band for this configuration")
     nudge = 1e-8 * (hi - lo)
     xs = np.linspace(lo + nudge, hi - nudge, grid)
-    values = []
-    for x in xs:
-        if kind == "lower_var":
-            values.append(lower_var(b, a1, float(x), fixed_index))
-        elif kind == "upper_var":
-            values.append(upper_var(b, a2, float(x), fixed_index))
-        elif kind == "lower_rvar":
-            values.append(lower_rvar(b, levels, float(x), fixed_index))
-        elif kind == "upper_rvar":
-            values.append(upper_rvar(b, levels, float(x), fixed_index))
-        elif kind == "lower_tvar":
-            values.append(lower_tvar(b, a1, float(x), fixed_index))
-        else:
-            values.append(upper_tvar(b, a1, float(x), fixed_index))
+    values = tuple(measure(b, levels, float(x), fixed_index) for x in xs)
     return OrthantCurve(
         kind=kind,
         levels=levels,
         fixed_index=fixed_index,
         x_fixed=xs,
-        values=tuple(values),
+        values=values,
     )
 
 

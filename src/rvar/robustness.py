@@ -3,7 +3,10 @@
 Each sensitivity function reports the first-order response of a measure
 when the conditional law of the free coordinate (given the fixed one) is
 mixed with a point mass at z.  VaR and RVaR targets have bounded, piecewise
-responses; the TVaR target grows linearly in z and is unbounded.
+responses; the TVaR target grows linearly in z and is unbounded.  One
+function per target builds the breakpoints and the response at a fixed
+point; the ``sens_*`` functions and ``sensitivity_profile`` share them
+through the ``_TARGETS`` table.
 """
 
 from __future__ import annotations
@@ -46,7 +49,12 @@ def _central_density(cdf1, y, scale, lo_support):
     return dens
 
 
-def _lower_var_parts(b, alpha, x_fixed, fixed_index):
+def _step(bp, left, right):
+    """A response that is left below the breakpoint, right above it, 0 at it."""
+    return lambda z: left if z < bp else (right if z > bp else 0.0)
+
+
+def _lower_var(b, alpha, x_fixed, fixed_index):
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
     lv = lower_var(b, alpha, x_fixed, fixed_index)
@@ -56,19 +64,11 @@ def _lower_var_parts(b, alpha, x_fixed, fixed_index):
         free_m.typical_scale,
         free_m.support()[0],
     )
-    return a_fixed, lv, dens
+    weight = dens * a_fixed
+    return (lv,), _step(lv, -(a_fixed - alpha) / weight, alpha / weight)
 
 
-def sens_lower_var(b: BivariateModel, alpha: float, x_fixed: float, z: float, fixed_index: int = 1) -> float:
-    a_fixed, lv, dens = _lower_var_parts(b, alpha, x_fixed, fixed_index)
-    if z < lv:
-        return -(a_fixed - alpha) / (dens * a_fixed)
-    if z > lv:
-        return alpha / (dens * a_fixed)
-    return 0.0
-
-
-def _upper_var_parts(b, alpha, x_fixed, fixed_index):
+def _upper_var(b, alpha, x_fixed, fixed_index):
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
     uv = upper_var(b, alpha, x_fixed, fixed_index)
@@ -78,19 +78,11 @@ def _upper_var_parts(b, alpha, x_fixed, fixed_index):
         free_m.typical_scale,
         free_m.support()[0],
     )
-    return a_fixed, uv, dens
+    weight = dens * (1.0 - a_fixed)
+    return (uv,), _step(uv, -(1.0 - alpha) / weight, (alpha - a_fixed) / weight)
 
 
-def sens_upper_var(b: BivariateModel, alpha: float, x_fixed: float, z: float, fixed_index: int = 1) -> float:
-    a_fixed, uv, dens = _upper_var_parts(b, alpha, x_fixed, fixed_index)
-    if z < uv:
-        return -(1.0 - alpha) / (dens * (1.0 - a_fixed))
-    if z > uv:
-        return (alpha - a_fixed) / (dens * (1.0 - a_fixed))
-    return 0.0
-
-
-def _lower_rvar_parts(b, levels, x_fixed, fixed_index):
+def _lower_rvar(b, levels, x_fixed, fixed_index):
     a1, a2 = levels.alpha1, levels.alpha2
     if a2 >= 1.0:
         raise DomainError("alpha2 must be below 1 here; use the tvar sensitivity")
@@ -100,27 +92,21 @@ def _lower_rvar_parts(b, levels, x_fixed, fixed_index):
     b_top = _joint_cdf(b, fixed_index, x_fixed, q2)
     lv = lower_var(b, a1, x_fixed, fixed_index)
     measure = lower_rvar(b, levels, x_fixed, fixed_index)
-    return a_fixed, b_top, lv, q2, measure
-
-
-def _eval_sens_lower_rvar(parts, a1, z):
-    a_fixed, b_top, lv, q2, measure = parts
     width = b_top - a1
-    if z < lv:
-        raw = ((a_fixed - a1) * lv - (a_fixed - b_top) * q2) / width
-    elif z <= q2:
-        raw = (z * a_fixed - a1 * lv - (a_fixed - b_top) * q2) / width
-    else:
-        raw = (b_top * q2 - a1 * lv) / width
-    return raw - measure
+
+    def evaluate(z):
+        if z < lv:
+            raw = ((a_fixed - a1) * lv - (a_fixed - b_top) * q2) / width
+        elif z <= q2:
+            raw = (z * a_fixed - a1 * lv - (a_fixed - b_top) * q2) / width
+        else:
+            raw = (b_top * q2 - a1 * lv) / width
+        return raw - measure
+
+    return (lv, q2), evaluate
 
 
-def sens_lower_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, z: float, fixed_index: int = 1) -> float:
-    parts = _lower_rvar_parts(b, levels, x_fixed, fixed_index)
-    return _eval_sens_lower_rvar(parts, levels.alpha1, z)
-
-
-def _upper_rvar_parts(b, levels, x_fixed, fixed_index):
+def _upper_rvar(b, levels, x_fixed, fixed_index):
     a1, a2 = levels.alpha1, levels.alpha2
     if a2 >= 1.0:
         raise DomainError("alpha2 must be below 1 for the upper rvar sensitivity")
@@ -136,46 +122,65 @@ def _upper_rvar_parts(b, levels, x_fixed, fixed_index):
         c_bot = a_fixed + (1.0 - a_fixed) * _cond_upper_cdf(b, fixed_index, x_fixed, q1, a_fixed)
     uv2 = upper_var(b, a2, x_fixed, fixed_index)
     measure = upper_rvar(b, levels, x_fixed, fixed_index)
-    return a_fixed, c_bot, q1, uv2, measure
-
-
-def _eval_sens_upper_rvar(parts, a2, z):
-    a_fixed, c_bot, q1, uv2, measure = parts
     width = a2 - c_bot
-    if z < q1:
-        raw = ((1.0 - c_bot) * q1 - (1.0 - a2) * uv2) / width
-    elif z <= uv2:
-        raw = (z * (1.0 - a_fixed) - (c_bot - a_fixed) * q1 - (1.0 - a2) * uv2) / width
-    else:
-        raw = ((a2 - a_fixed) * uv2 - (c_bot - a_fixed) * q1) / width
-    return raw - measure
+
+    def evaluate(z):
+        if z < q1:
+            raw = ((1.0 - c_bot) * q1 - (1.0 - a2) * uv2) / width
+        elif z <= uv2:
+            raw = (z * (1.0 - a_fixed) - (c_bot - a_fixed) * q1 - (1.0 - a2) * uv2) / width
+        else:
+            raw = ((a2 - a_fixed) * uv2 - (c_bot - a_fixed) * q1) / width
+        return raw - measure
+
+    return (q1, uv2), evaluate
 
 
-def sens_upper_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, z: float, fixed_index: int = 1) -> float:
-    parts = _upper_rvar_parts(b, levels, x_fixed, fixed_index)
-    return _eval_sens_upper_rvar(parts, levels.alpha2, z)
-
-
-def _lower_tvar_parts(b, alpha, x_fixed, fixed_index):
+def _lower_tvar(b, alpha, x_fixed, fixed_index):
     fixed_m, _ = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
     lv = lower_var(b, alpha, x_fixed, fixed_index)
     measure = lower_tvar(b, alpha, x_fixed, fixed_index)
     if is_divergent(measure):
         raise DomainError("lower tvar diverges for this model; sensitivity undefined")
-    return a_fixed, lv, measure
+
+    def evaluate(z):
+        if z < lv:
+            return lv - measure
+        return (z * a_fixed - alpha * lv) / (a_fixed - alpha) - measure
+
+    return (lv,), evaluate
 
 
-def _eval_sens_lower_tvar(parts, alpha, z):
-    a_fixed, lv, measure = parts
-    if z < lv:
-        return lv - measure
-    return (z * a_fixed - alpha * lv) / (a_fixed - alpha) - measure
+# target -> (the level argument it takes, breakpoints and response at a
+# fixed point, bounded?)
+_TARGETS = {
+    "lower_var": ("alpha", _lower_var, True),
+    "upper_var": ("alpha", _upper_var, True),
+    "lower_rvar": ("levels", _lower_rvar, True),
+    "upper_rvar": ("levels", _upper_rvar, True),
+    "lower_tvar": ("alpha", _lower_tvar, False),
+}
+
+
+def sens_lower_var(b: BivariateModel, alpha: float, x_fixed: float, z: float, fixed_index: int = 1) -> float:
+    return _lower_var(b, alpha, x_fixed, fixed_index)[1](z)
+
+
+def sens_upper_var(b: BivariateModel, alpha: float, x_fixed: float, z: float, fixed_index: int = 1) -> float:
+    return _upper_var(b, alpha, x_fixed, fixed_index)[1](z)
+
+
+def sens_lower_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, z: float, fixed_index: int = 1) -> float:
+    return _lower_rvar(b, levels, x_fixed, fixed_index)[1](z)
+
+
+def sens_upper_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, z: float, fixed_index: int = 1) -> float:
+    return _upper_rvar(b, levels, x_fixed, fixed_index)[1](z)
 
 
 def sens_lower_tvar(b: BivariateModel, alpha: float, x_fixed: float, z: float, fixed_index: int = 1) -> float:
-    parts = _lower_tvar_parts(b, alpha, x_fixed, fixed_index)
-    return _eval_sens_lower_tvar(parts, alpha, z)
+    return _lower_tvar(b, alpha, x_fixed, fixed_index)[1](z)
 
 
 @dataclass(frozen=True)
@@ -186,9 +191,6 @@ class SensitivityProfile:
     bounded: bool
     sup_abs: float
     breakpoints: tuple
-
-
-_TARGETS = ("lower_var", "upper_var", "lower_rvar", "upper_rvar", "lower_tvar")
 
 
 def branch_label(target: str, z: float, breakpoints: tuple) -> str:
@@ -229,49 +231,13 @@ def sensitivity_profile(
         raise DomainError(f"unknown sensitivity target {target!r}")
     _check_x_fixed(x_fixed)
     _, free_m = _margins(b, fixed_index)
-    if target == "lower_var":
-        if alpha is None:
-            raise DomainError("lower_var sensitivity needs alpha")
-        a_fixed, lv, dens = _lower_var_parts(b, alpha, x_fixed, fixed_index)
-        breakpoints = (lv,)
-        left = -(a_fixed - alpha) / (dens * a_fixed)
-        right = alpha / (dens * a_fixed)
-        evaluate = lambda z: left if z < lv else (right if z > lv else 0.0)
-        bounded, sup_abs = True, max(abs(left), abs(right))
-    elif target == "upper_var":
-        if alpha is None:
-            raise DomainError("upper_var sensitivity needs alpha")
-        a_fixed, uv, dens = _upper_var_parts(b, alpha, x_fixed, fixed_index)
-        breakpoints = (uv,)
-        left = -(1.0 - alpha) / (dens * (1.0 - a_fixed))
-        right = (alpha - a_fixed) / (dens * (1.0 - a_fixed))
-        evaluate = lambda z: left if z < uv else (right if z > uv else 0.0)
-        bounded, sup_abs = True, max(abs(left), abs(right))
-    elif target == "lower_rvar":
-        if levels is None:
-            raise DomainError("lower_rvar sensitivity needs levels")
-        parts = _lower_rvar_parts(b, levels, x_fixed, fixed_index)
-        breakpoints = (parts[2], parts[3])
-        evaluate = lambda z: _eval_sens_lower_rvar(parts, levels.alpha1, z)
-        lo_val = evaluate(breakpoints[0] - 1.0)
-        hi_val = evaluate(breakpoints[1] + 1.0)
-        bounded, sup_abs = True, max(abs(lo_val), abs(hi_val))
-    elif target == "upper_rvar":
-        if levels is None:
-            raise DomainError("upper_rvar sensitivity needs levels")
-        parts = _upper_rvar_parts(b, levels, x_fixed, fixed_index)
-        breakpoints = (parts[2], parts[3])
-        evaluate = lambda z: _eval_sens_upper_rvar(parts, levels.alpha2, z)
-        lo_val = evaluate(breakpoints[0] - 1.0)
-        hi_val = evaluate(breakpoints[1] + 1.0)
-        bounded, sup_abs = True, max(abs(lo_val), abs(hi_val))
-    else:
-        if alpha is None:
-            raise DomainError("lower_tvar sensitivity needs alpha")
-        parts = _lower_tvar_parts(b, alpha, x_fixed, fixed_index)
-        breakpoints = (parts[1],)
-        evaluate = lambda z: _eval_sens_lower_tvar(parts, alpha, z)
-        bounded, sup_abs = False, math.inf
+    arg_name, build, bounded = _TARGETS[target]
+    level_arg = alpha if arg_name == "alpha" else levels
+    if level_arg is None:
+        raise DomainError(f"{target} sensitivity needs {arg_name}")
+    breakpoints, evaluate = build(b, level_arg, x_fixed, fixed_index)
+    # every bounded response is constant beyond its outer breakpoints
+    sup_abs = max(abs(evaluate(-math.inf)), abs(evaluate(math.inf))) if bounded else math.inf
     if z_grid is None:
         lo = min(breakpoints) - 3.0 * free_m.typical_scale
         hi = max(breakpoints) + 3.0 * free_m.typical_scale

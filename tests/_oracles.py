@@ -6,6 +6,10 @@ substitution, sensitivities come from explicit epsilon-mixtures, and
 the empirical estimators are re-derived by masking and sorting at every
 call.  Nothing routes through the package's closed forms; only its error
 types are shared, so that tests can compare which error was raised.
+
+The exception is the last section: the package's former orthant closed
+forms, which difference antiderivatives and so derive the same values
+another way. They keep the package's special functions and helpers.
 """
 
 from __future__ import annotations
@@ -17,12 +21,16 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
+from rvar.dependence import BivariateModel, Comonotone, Countermonotone, Gumbel, Independence
 from rvar.errors import (
     DegenerateRangeError,
     DomainError,
     EmptyConditioningError,
     InfeasibleLevelError,
 )
+from rvar.marginals import DIVERGES, GEV, XI_ZERO_TOL, Exponential, LevelRange
+from rvar.orthant import DEGENERACY_TOL, _check_x_fixed, _margins
+from rvar.specfun import exp_integral_e1, upper_incomplete_gamma
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
@@ -324,3 +332,150 @@ def bf_upper_rvar(data, m, a1, a2, x_fixed, free_index=2):
     if np.any(j < 1):
         raise InfeasibleLevelError("level ladder is met below the conditioned sample")
     return float(np.mean(vals[np.minimum(j, k) - 1]))
+
+
+# ---------------------------------------------------------------------------
+# The package's former orthant closed forms, moved here verbatim when the
+# package began to derive them as band means on a copula's level map: the
+# GEV forms difference incomplete gamma and E1 antiderivatives, the
+# exponential forms x log x terms.
+
+
+def _is_independent(copula) -> bool:
+    return isinstance(copula, Independence) or (
+        isinstance(copula, Gumbel) and copula.theta == 1.0
+    )
+
+
+def _require_gev_indep(b: BivariateModel, fixed_index: int):
+    if not _is_independent(b.copula):
+        raise DomainError("closed form requires the independence copula")
+    fixed_m, free_m = _margins(b, fixed_index)
+    if not isinstance(fixed_m, GEV) or not isinstance(free_m, GEV):
+        raise DomainError("closed form requires GEV margins on both coordinates")
+    return fixed_m, free_m
+
+
+def _lnln(ratio: float) -> float:
+    return math.log(math.log(ratio))
+
+
+def closed_lower_rvar_gev_indep(
+    b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1
+):
+    """Closed-form lower orthant RVaR for independent GEV margins."""
+    _check_x_fixed(x_fixed)
+    fixed_m, free_m = _require_gev_indep(b, fixed_index)
+    a1, a2 = levels.alpha1, levels.alpha2
+    a_fixed = fixed_m.cdf(x_fixed)
+    b_top = a_fixed * a2
+    if b_top <= a1 + DEGENERACY_TOL:
+        raise DegenerateRangeError(
+            f"attainable band top {b_top:.6g} does not exceed alpha1={a1:.6g}"
+        )
+    xi, mu, sigma = free_m.xi, free_m.mu, free_m.sigma
+    if a2 >= 1.0:
+        if xi >= 1.0 or abs(xi) < XI_ZERO_TOL:
+            return DIVERGES
+    width = b_top - a1
+    t1 = math.inf if a1 <= 0.0 else math.log(a_fixed / a1)
+    if abs(xi) < XI_ZERO_TOL:
+        t2 = math.log(a_fixed / b_top)
+        e1 = 0.0 if math.isinf(t1) else exp_integral_e1(t1)
+        low_term = 0.0 if a1 <= 0.0 else a1 * _lnln(a_fixed / a1)
+        val = (
+            b_top * _lnln(a_fixed / b_top)
+            - low_term
+            + a_fixed * (exp_integral_e1(t2) - e1)
+        )
+        return mu - sigma * val / width
+    t2 = 0.0 if a2 >= 1.0 else math.log(a_fixed / b_top)
+    g2 = upper_incomplete_gamma(1.0 - xi, t2)
+    g1 = 0.0 if math.isinf(t1) else upper_incomplete_gamma(1.0 - xi, t1)
+    return mu - (sigma / xi) * (1.0 - a_fixed * (g2 - g1) / width)
+
+
+def closed_upper_rvar_gev_indep(
+    b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1
+):
+    """Closed-form upper orthant RVaR for independent GEV margins."""
+    _check_x_fixed(x_fixed)
+    fixed_m, free_m = _require_gev_indep(b, fixed_index)
+    a1, a2 = levels.alpha1, levels.alpha2
+    a_fixed = fixed_m.cdf(x_fixed)
+    c_bot = a_fixed + a1 * (1.0 - a_fixed)
+    if c_bot >= a2 - DEGENERACY_TOL:
+        raise DegenerateRangeError(
+            f"attainable band bottom {c_bot:.6g} reaches alpha2={a2:.6g}"
+        )
+    xi, mu, sigma = free_m.xi, free_m.mu, free_m.sigma
+    if a2 >= 1.0 and (xi >= 1.0 or abs(xi) < XI_ZERO_TOL):
+        return DIVERGES
+    s_fixed = 1.0 - a_fixed
+    width = a2 - c_bot
+    t2 = 0.0 if a2 >= 1.0 else math.log(s_fixed / (a2 - a_fixed))
+    t1 = math.inf if c_bot == a_fixed else math.log(s_fixed / (c_bot - a_fixed))
+    if abs(xi) < XI_ZERO_TOL:
+        term2 = (a2 - a_fixed) * _lnln(s_fixed / (a2 - a_fixed))
+        term1 = 0.0 if c_bot == a_fixed else (c_bot - a_fixed) * _lnln(s_fixed / (c_bot - a_fixed))
+        e2 = exp_integral_e1(t2)
+        e1 = 0.0 if math.isinf(t1) else exp_integral_e1(t1)
+        return mu - sigma * (term2 - term1) / width - sigma * s_fixed * (e2 - e1) / width
+    g2 = upper_incomplete_gamma(1.0 - xi, t2)
+    g1 = 0.0 if math.isinf(t1) else upper_incomplete_gamma(1.0 - xi, t1)
+    return mu - (sigma / xi) * (1.0 - s_fixed * (g2 - g1) / width)
+
+
+def _xlogx(t: float) -> float:
+    return 0.0 if t <= 0.0 else t * math.log(t)
+
+
+_COPULA_KINDS = {"pi": Independence, "m": Comonotone, "w": Countermonotone}
+
+
+def closed_lower_rvar_exponential(
+    b: BivariateModel,
+    levels: LevelRange,
+    x_fixed: float,
+    copula_kind: str | None = None,
+    fixed_index: int = 1,
+) -> float:
+    """Closed-form lower orthant RVaR for exponential margins under Pi, M or W."""
+    _check_x_fixed(x_fixed)
+    fixed_m, free_m = _margins(b, fixed_index)
+    if not isinstance(fixed_m, Exponential) or not isinstance(free_m, Exponential):
+        raise DomainError("closed form requires exponential margins")
+    if isinstance(b.copula, Independence):
+        inferred = "pi"
+    elif isinstance(b.copula, Comonotone):
+        inferred = "m"
+    elif isinstance(b.copula, Countermonotone):
+        inferred = "w"
+    else:
+        raise DomainError("closed form requires the Pi, M or W copula")
+    if copula_kind is not None:
+        wanted = copula_kind.strip().lower()
+        if wanted not in _COPULA_KINDS:
+            raise DomainError(f"unknown copula kind {copula_kind!r}")
+        if wanted != inferred:
+            raise DomainError(f"model copula is {inferred!r}, not {wanted!r}")
+    a1, a2 = levels.alpha1, levels.alpha2
+    ff = fixed_m.cdf(x_fixed)
+    lam = free_m.lam
+    if inferred == "m":
+        bm = min(ff, a2)
+        if bm <= a1 + DEGENERACY_TOL:
+            raise DegenerateRangeError("attainable band collapses for the M copula")
+        num = _xlogx(1.0 - bm) - _xlogx(1.0 - a1) + (bm - a1)
+        return num / (lam * (bm - a1))
+    if inferred == "pi":
+        b_top = a2 * ff
+        if b_top <= a1 + DEGENERACY_TOL:
+            raise DegenerateRangeError("attainable band collapses for the Pi copula")
+        num = ff * _xlogx(1.0 - a2) - (ff - a1) * math.log((ff - a1) / ff) + (b_top - a1)
+        return num / (lam * (b_top - a1))
+    b_top = ff + a2 - 1.0
+    if b_top <= a1 + DEGENERACY_TOL:
+        raise DegenerateRangeError("attainable band collapses for the W copula")
+    num = _xlogx(1.0 - a2) - _xlogx(ff - a1) + (b_top - a1)
+    return num / (lam * (b_top - a1))

@@ -416,6 +416,29 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=src)
 
 
+@pytest.mark.parametrize("argv", [
+    ["uni", "--weibull", "shape=0.001", "scale=1", "--measure", "rvar",
+     "--alpha1", "0.5", "--alpha2", "0.9"],
+    ["uni", "--weibull", "shape=0.001", "scale=1", "--measure", "var", "--alpha", "0.9"],
+    ["uni", "--gev", "mu=0", "sigma=1", "xi=-500", "--measure", "rvar",
+     "--alpha1", "0.01", "--alpha2", "0.99"],
+])
+def test_out_of_range_results_exit_2_without_traceback(argv):
+    # these once ended in an OverflowError traceback (exit 1)
+    proc = subprocess.run([sys.executable, "-m", "rvar.cli", *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_very_negative_gev_shape_prints_a_number(capsys):
+    # the band mean is 0.005 (mpmath); it once printed NA
+    code, out, err = run_cli(capsys, [
+        "uni", "--gev", "mu=0", "sigma=1", "xi=-200", "--measure", "rvar",
+        "--alpha1", "0.5", "--alpha2", "0.9"])
+    assert code == 0 and err == "" and out.strip() == "0.005"
+
+
 def test_subcommands_load_only_the_scipy_parts_they_use(tmp_path):
     # a fresh interpreter: the test process itself has scipy loaded
     f = tmp_path / "data.csv"

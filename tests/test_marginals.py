@@ -234,6 +234,32 @@ def test_gev_rvar_on_narrow_bands_at_xi_zero_and_past_one(xi, a1, a2, want):
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.parametrize("xi,a1,a2,want", [
+    # mu - sigma/(xi w) [w - (Gamma(1-xi, -ln a2) - Gamma(1-xi, -ln a1))] at
+    # the binary endpoints, mpmath at 40 digits; Gamma(1 - xi) overflows here
+    (-171.0, 0.5, 0.9, "0.005847953216374269005847953216"),
+    (-171.0, 0.01, 0.99, "-4.267981829870911995134304706e+107"),
+    (-200.0, 0.5, 0.9, "0.005"),
+    (-200.0, 0.01, 0.99, "-5.332671857178973685099135466e+126"),
+    (-500.0, 0.5, 0.9, "0.002"),
+])
+def test_gev_rvar_at_very_negative_shape(xi, a1, a2, want):
+    # the linear band form returned NaN (printed NA) below xi ~ -170.6
+    got = uni_rvar(GEV(0.0, 1.0, xi), LevelRange(a1, a2))
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_out_of_range_band_means_are_domain_errors():
+    # mpmath: -7.944e324 for this GEV band and 9.47e358 for the Weibull one,
+    # beyond the largest double; exp() of their logarithms overflowed
+    with pytest.raises(DomainError):
+        uni_rvar(GEV(0.0, 1.0, -500.0), LevelRange(0.01, 0.99))
+    with pytest.raises(DomainError):
+        uni_rvar(Weibull(0.001, 1.0), LevelRange(0.5, 0.9))
+    with pytest.raises(DomainError):
+        uni_var(Weibull(0.001, 1.0), 0.9)
+
+
 def test_exponential_tvar_closed_identity():
     # memoryless tail: TVaR_a = VaR_a + 1/lam
     m = Exponential(0.5)
@@ -292,12 +318,12 @@ def test_ratio_limit_contract():
     assert ratio_limit(GPDTail(0.0, 1.0, 0.5, 0.1)) == pytest.approx(2.0)
     assert ratio_limit(GPDTail(0.0, 1.0, 0.0, 0.1)) == 1.0
     assert ratio_limit(GPDTail(0.0, 1.0, -0.3, 0.1)) == 1.0
-    for bad in [GEV(0.0, 1.0, 0.0), GEV(0.0, 1.0, 1.0), GPDTail(0.0, 1.0, 1.1, 0.1),
-                Weibull(2.0, 1.0)]:
+    for bad in [GEV(0.0, 1.0, 0.0), GEV(0.0, 1.0, 1e-9), GEV(0.0, 1.0, 1.0),
+                GPDTail(0.0, 1.0, 1.1, 0.1), GPDTail(0.0, 1.0, 1.0, 0.1), Weibull(2.0, 1.0)]:
         with pytest.raises(DomainError):
             ratio_limit(bad)
-    with pytest.raises(DomainError):
-        tvar_var_ratio(GEV(0.0, 1.0, 0.0), 0.99)
+        with pytest.raises(DomainError):
+            tvar_var_ratio(bad, 0.99)
 
 
 def test_gpd_levels_below_threshold_rejected():

@@ -1,5 +1,6 @@
 """Bivariate orthant risk measures against root-finding and MC oracles."""
 
+import decimal
 import math
 
 import numpy as np
@@ -236,6 +237,79 @@ def test_closed_exponential_validation():
     gum = BivariateModel(Exponential(1.0), Exponential(2.0), Gumbel(1.5))
     with pytest.raises(DomainError):
         closed_lower_rvar_exponential(gum, LevelRange(0.9, 0.99), 4.0)
+
+
+PARITY_BANDS = [(0.5, 0.9), (0.9, 0.99), (0.2, 1.0), (0.9, 1.0), (0.0, 0.95), (0.0, 1.0)]
+# fixed levels up to 0.99: the former upper forms divide a rounded level
+# by 1 - a, which costs them 1e-13 relative at a = 0.999
+PARITY_LEVELS = [0.05, 0.3, 0.7, 0.9, 0.97, 0.99]
+
+
+def _same_as_former(new, old, args):
+    """Same value within 5e-14, same DIVERGES, or the same exception type."""
+    try:
+        want = old(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            new(*args)
+        return
+    got = new(*args)
+    if is_divergent(want):
+        assert is_divergent(got)
+    else:
+        assert got == pytest.approx(want, rel=5e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("xi", [-0.4, 0.0, 1e-9, 0.2, 0.3, 0.9])
+def test_closed_gev_indep_matches_former_closed_form(xi):
+    pairs = [(closed_lower_rvar_gev_indep, orc.closed_lower_rvar_gev_indep),
+             (closed_upper_rvar_gev_indep, orc.closed_upper_rvar_gev_indep)]
+    for cop in (Independence(), Gumbel(1.0)):
+        b = BivariateModel(GEV(0.0, 1.0, 0.2), GEV(1.0, 0.5, xi), cop)
+        for a1, a2 in PARITY_BANDS:
+            for p in PARITY_LEVELS:
+                x = b.margin1.quantile(p)
+                for new, old in pairs:
+                    _same_as_former(new, old, (b, LevelRange(a1, a2), x))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("cop", [Independence(), Comonotone(), Countermonotone()])
+def test_closed_exponential_matches_former_closed_form(lam, cop):
+    b = BivariateModel(Exponential(0.7), Exponential(lam), cop)
+    for a1, a2 in PARITY_BANDS:
+        for p in PARITY_LEVELS:
+            x = b.margin1.quantile(p)
+            _same_as_former(closed_lower_rvar_exponential, orc.closed_lower_rvar_exponential,
+                            (b, LevelRange(a1, a2), x))
+
+
+@pytest.mark.parametrize("xi", [-0.4, 0.2, 0.9])
+def test_closed_gev_indep_upper_tail_band_is_the_free_tvar(xi):
+    # under independence the band [a + alpha1 (1 - a), 1] maps back onto
+    # [alpha1, 1] exactly, at every fixed level
+    free = GEV(1.0, 0.5, xi)
+    b = BivariateModel(GEV(0.0, 1.0, 0.2), free, Independence())
+    for p in (0.3, 0.9, 0.999):
+        x = b.margin1.quantile(p)
+        assert closed_upper_rvar_gev_indep(b, LevelRange(0.9, 1.0), x) == uni_rvar(
+            free, LevelRange(0.9, 1.0))
+
+
+def test_closed_exponential_w_copula_at_50_digits():
+    # the former form differenced x log x terms and was off by 1.7e-14 here
+    b = BivariateModel(Exponential(1.0), Exponential(2.0), Countermonotone())
+    x = b.margin1.quantile(0.96)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        # band [alpha1 + 1 - a, alpha2] at the binary levels, exactly
+        w1, w2 = D(0.95) + 1 - D(b.margin1.cdf(x)), D(0.995)
+        # antiderivative of the exponential quantile -ln(1 - p) / 2
+        anti = lambda p: ((1 - p) * (1 - p).ln() + p) / 2
+        want = (anti(w2) - anti(w1)) / (w2 - w1)
+        got = D(closed_lower_rvar_exponential(b, LevelRange(0.95, 0.995), x))
+        assert abs(got - want) / want <= D("1e-15")
 
 
 def test_orthant_curve_shapes_and_domains():
