@@ -1,148 +1,110 @@
 """Range value at risk: univariate closed forms, bivariate orthant
-measures, contamination sensitivities and empirical estimators."""
+measures, contamination sensitivities and empirical estimators.
 
-from .dependence import (
-    BivariateModel,
-    Comonotone,
-    Countermonotone,
-    Gumbel,
-    Independence,
-    copula_cdf,
-    sample,
-)
-from .empirical import (
-    ConsistencyReport,
-    EstimatorConfig,
-    SampleMatrix,
-    consistency_experiment,
-    ecdf,
-    emp_lower_rvar,
-    emp_lower_var,
-    emp_upper_rvar,
-    emp_upper_var,
-    esurv,
-    marginal_quantile,
-)
-from .errors import (
-    BandError,
-    ComonotonicityError,
-    DataError,
-    DegenerateRangeError,
-    DomainError,
-    EmptyConditioningError,
-    InfeasibleLevelError,
-    ZeroDensityError,
-)
-from .marginals import (
-    DIVERGES,
-    GEV,
-    Exponential,
-    GPDTail,
-    LevelRange,
-    Uniform,
-    Weibull,
-    is_divergent,
-    ratio_limit,
-    tvar_var_ratio,
-    uni_rvar,
-    uni_tvar,
-    uni_var,
-)
-from .orthant import (
-    OrthantCurve,
-    closed_lower_rvar_exponential,
-    closed_lower_rvar_gev_indep,
-    closed_upper_rvar_gev_indep,
-    comonotonic_aggregate_rvar,
-    lower_rvar,
-    lower_tvar,
-    lower_var,
-    orthant_curve,
-    upper_rvar,
-    upper_tvar,
-    upper_var,
-)
-from .robustness import (
-    SensitivityProfile,
-    branch_label,
-    sens_lower_rvar,
-    sens_lower_tvar,
-    sens_lower_var,
-    sens_upper_rvar,
-    sens_upper_var,
-    sensitivity_profile,
-)
-from .specfun import (
-    EULER_GAMMA,
-    exp_integral_e1,
-    log_integral,
-    upper_incomplete_gamma,
-)
+The public names are exported lazily (PEP 562): ``import rvar`` loads no
+submodule, and the first access to a name, as ``rvar.X``, ``from rvar
+import X`` or ``from rvar import *``, imports the submodule that defines it
+and caches the value here. So a univariate query loads only ``marginals``
+and its pure-``math`` helpers, never numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandError",
-    "BivariateModel",
-    "Comonotone",
-    "ComonotonicityError",
-    "ConsistencyReport",
-    "Countermonotone",
-    "DIVERGES",
-    "DataError",
-    "DegenerateRangeError",
-    "DomainError",
-    "EULER_GAMMA",
-    "EmptyConditioningError",
-    "EstimatorConfig",
-    "Exponential",
-    "GEV",
-    "GPDTail",
-    "Gumbel",
-    "Independence",
-    "InfeasibleLevelError",
-    "LevelRange",
-    "OrthantCurve",
-    "SampleMatrix",
-    "SensitivityProfile",
-    "Uniform",
-    "Weibull",
-    "ZeroDensityError",
-    "branch_label",
-    "closed_lower_rvar_exponential",
-    "closed_lower_rvar_gev_indep",
-    "closed_upper_rvar_gev_indep",
-    "comonotonic_aggregate_rvar",
-    "consistency_experiment",
-    "copula_cdf",
-    "ecdf",
-    "emp_lower_rvar",
-    "emp_lower_var",
-    "emp_upper_rvar",
-    "emp_upper_var",
-    "esurv",
-    "exp_integral_e1",
-    "is_divergent",
-    "log_integral",
-    "lower_rvar",
-    "lower_tvar",
-    "lower_var",
-    "marginal_quantile",
-    "orthant_curve",
-    "ratio_limit",
-    "sample",
-    "sens_lower_rvar",
-    "sens_lower_tvar",
-    "sens_lower_var",
-    "sens_upper_rvar",
-    "sens_upper_var",
-    "sensitivity_profile",
-    "tvar_var_ratio",
-    "uni_rvar",
-    "uni_tvar",
-    "uni_var",
-    "upper_incomplete_gamma",
-    "upper_rvar",
-    "upper_tvar",
-    "upper_var",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "dependence": (
+        "BivariateModel",
+        "Comonotone",
+        "Countermonotone",
+        "Gumbel",
+        "Independence",
+        "copula_cdf",
+        "sample",
+    ),
+    "empirical": (
+        "ConsistencyReport",
+        "EstimatorConfig",
+        "SampleMatrix",
+        "consistency_experiment",
+        "ecdf",
+        "emp_lower_rvar",
+        "emp_lower_var",
+        "emp_upper_rvar",
+        "emp_upper_var",
+        "esurv",
+        "marginal_quantile",
+    ),
+    "errors": (
+        "BandError",
+        "ComonotonicityError",
+        "DataError",
+        "DegenerateRangeError",
+        "DomainError",
+        "EmptyConditioningError",
+        "InfeasibleLevelError",
+        "ZeroDensityError",
+    ),
+    "marginals": (
+        "DIVERGES",
+        "GEV",
+        "Exponential",
+        "GPDTail",
+        "LevelRange",
+        "Uniform",
+        "Weibull",
+        "is_divergent",
+        "ratio_limit",
+        "tvar_var_ratio",
+        "uni_rvar",
+        "uni_tvar",
+        "uni_var",
+    ),
+    "orthant": (
+        "OrthantCurve",
+        "closed_lower_rvar_exponential",
+        "closed_lower_rvar_gev_indep",
+        "closed_upper_rvar_gev_indep",
+        "comonotonic_aggregate_rvar",
+        "lower_rvar",
+        "lower_tvar",
+        "lower_var",
+        "orthant_curve",
+        "upper_rvar",
+        "upper_tvar",
+        "upper_var",
+    ),
+    "robustness": (
+        "SensitivityProfile",
+        "branch_label",
+        "sens_lower_rvar",
+        "sens_lower_tvar",
+        "sens_lower_var",
+        "sens_upper_rvar",
+        "sens_upper_var",
+        "sensitivity_profile",
+    ),
+    "specfun": (
+        "EULER_GAMMA",
+        "exp_integral_e1",
+        "log_integral",
+        "upper_incomplete_gamma",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

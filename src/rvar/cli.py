@@ -14,24 +14,8 @@ import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dependence import (
-    BivariateModel,
-    Comonotone,
-    Countermonotone,
-    Gumbel,
-    Independence,
-)
-from .empirical import (
-    EstimatorConfig,
-    SampleMatrix,
-    consistency_experiment,
-    emp_lower_rvar,
-    emp_upper_rvar,
-    marginal_quantile,
-)
 from .errors import ComonotonicityError, DataError, DomainError
 from .marginals import (
     GEV,
@@ -45,8 +29,12 @@ from .marginals import (
     uni_tvar,
     uni_var,
 )
-from .orthant import orthant_curve
-from .robustness import branch_label, sensitivity_profile
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dependence import BivariateModel
+    from .empirical import SampleMatrix
 
 _CSV_HEADER = "x_fixed,value,kind,alpha1,alpha2,fixed_index"
 
@@ -134,11 +122,12 @@ _MARGINS = {
     "uniform": (Uniform, ("lo", "hi")),
 }
 
+# kind -> (name of the rvar.dependence class, parameter keys in constructor order)
 _COPULAS = {
-    "independence": (Independence, ()),
-    "comonotone": (Comonotone, ()),
-    "countermonotone": (Countermonotone, ()),
-    "gumbel": (Gumbel, ("theta",)),
+    "independence": ("Independence", ()),
+    "comonotone": ("Comonotone", ()),
+    "countermonotone": ("Countermonotone", ()),
+    "gumbel": ("Gumbel", ("theta",)),
 }
 
 
@@ -179,12 +168,14 @@ def parse_copula(spec: str):
     kv = _parse_kv(tokens[1:])
     if kind not in _COPULAS:
         raise DomainError(f"unknown copula {kind!r}")
-    cls, expected = _COPULAS[kind]
+    cls_name, expected = _COPULAS[kind]
     if set(kv) != set(expected):
         if not expected:
             raise DomainError(f"{kind} takes no parameters")
         raise DomainError(f"{kind} needs exactly {' '.join(k + '=<value>' for k in expected)}")
-    return cls(*(kv[k] for k in expected))
+    from . import dependence
+
+    return getattr(dependence, cls_name)(*(kv[k] for k in expected))
 
 
 def _need(cfg: RunConfig, name: str) -> str:
@@ -223,6 +214,8 @@ def _fmt(value) -> str:
 
 
 def _bivariate(cfg: RunConfig) -> BivariateModel:
+    from .dependence import BivariateModel
+
     return BivariateModel(
         parse_margin(_need(cfg, "margin1")),
         parse_margin(_need(cfg, "margin2")),
@@ -258,6 +251,8 @@ def cmd_uni(cfg: RunConfig) -> int:
 
 
 def cmd_curve(cfg: RunConfig) -> int:
+    from .orthant import orthant_curve
+
     b = _bivariate(cfg)
     kind = _need(cfg, "kind")
     levels = LevelRange(_float(cfg, "alpha1"), _float(cfg, "alpha2"))
@@ -280,6 +275,8 @@ def cmd_curve(cfg: RunConfig) -> int:
 
 def _parse_rows(body: str, d: int) -> np.ndarray:
     """Cell-by-cell parse of the data rows, naming the first bad line."""
+    import numpy as np
+
     data = []
     for i, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
         if not row or all(not c.strip() for c in row):
@@ -294,6 +291,10 @@ def _parse_rows(body: str, d: int) -> np.ndarray:
 
 
 def read_samples(path: str) -> SampleMatrix:
+    import numpy as np
+
+    from .empirical import SampleMatrix
+
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -327,6 +328,10 @@ def read_samples(path: str) -> SampleMatrix:
 
 
 def cmd_empirical(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .empirical import EstimatorConfig, emp_lower_rvar, emp_upper_rvar, marginal_quantile
+
     s = read_samples(_need(cfg, "input"))
     if s.d != 2:
         raise DomainError("the empirical command handles two-column data")
@@ -370,6 +375,11 @@ def cmd_empirical(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .empirical import EstimatorConfig, consistency_experiment
+    from .orthant import _margins, lower_var
+
     b = _bivariate(cfg)
     levels = LevelRange(_float(cfg, "alpha1"), _float(cfg, "alpha2"))
     if levels.alpha2 >= 1.0:
@@ -380,8 +390,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     grid_n = _int(cfg, "grid", 21)
     fixed_index = _int(cfg, "fixed_index", 1)
     seed = _int(cfg, "seed", 20240817)
-    from .orthant import _margins, lower_var
-
     fixed_m, free_m = _margins(b, fixed_index)
     band_lo = lower_var(b, levels.alpha1, free_m.quantile(levels.alpha2),
                         fixed_index=2 if fixed_index == 1 else 1)
@@ -409,6 +417,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_sensitivity(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .robustness import branch_label, sensitivity_profile
+
     b = _bivariate(cfg)
     target = _need(cfg, "target")
     x_fixed = _float(cfg, "x_fixed")

@@ -13,10 +13,11 @@ Divergent tail expectations are reported by the DIVERGES marker, a typed
 singleton distinct from every float; callers test with is_divergent().
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._quadpack import qk21
 from .errors import DomainError
@@ -29,17 +30,26 @@ from .specfun import (
     upper_incomplete_gamma,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # shape values within this distance of zero route to the xi = 0 formulas;
 # cancellation in ((-ln p)^(-xi) - 1)/xi costs ~1e-16/|xi| relative error
 XI_ZERO_TOL = 1e-8
 
-# A GEV band no wider than this fraction of its distance from levels 0 and
-# 1 is averaged by the 21-point Kronrod rule: the quantile is analytic well
-# beyond such a band, so the rule is exact to rounding (<= 6.1e-16 against
-# 40-digit values), while a difference of antiderivatives loses up to 5e-13
-# on such bands for 0 < |xi| < 1, 5e-11 at xi = 1.2 on [0.5, 0.5001] and
-# 1e-8 at xi = 0 on [0.95, 0.95 + 1e-8]
+# A GEV or exponential band no wider than this fraction of its distance
+# from levels 0 and 1 is averaged by the 21-point Kronrod rule: the quantile
+# is analytic well beyond such a band, so the rule is exact to rounding
+# (<= 6.1e-16 against 40-digit values), while a difference of
+# antiderivatives loses up to 5e-13 on such bands for 0 < |xi| < 1, 5e-11
+# at xi = 1.2 on [0.5, 0.5001], 1e-8 at xi = 0 on [0.95, 0.95 + 1e-8] and
+# 7.4e-15 for the exponential on [0.6, 0.61]
 NARROW_BAND = 0.25
+
+
+def _narrow(a1: float, a2: float) -> bool:
+    """Whether [a1, a2] is a NARROW_BAND band, averaged by the Kronrod rule."""
+    return a2 - a1 <= NARROW_BAND * min(a1, 1.0 - a2)
 
 
 class _Divergent:
@@ -153,6 +163,8 @@ class GEV:
             raise DomainError(f"GEV quantile at -ln p = {t} exceeds the double range") from None
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         t = -np.log(p)
         if abs(self.xi) < XI_ZERO_TOL:
             return self.mu - self.sigma * np.log(t)
@@ -161,7 +173,7 @@ class GEV:
     def band_mean(self, a1: float, a2: float):
         """Average quantile over [a1, a2] (the forms are listed in uni_rvar)."""
         width = a2 - a1
-        if width <= NARROW_BAND * min(a1, 1.0 - a2):
+        if _narrow(a1, a2):
             # every difference of antiderivatives cancels on such a band
             return qk21(self.quantile, a1, a2)[0] / width
         if abs(self.xi) < XI_ZERO_TOL:
@@ -258,6 +270,8 @@ class GPDTail:
         return self.u + self.sigma * math.expm1(-self.xi * log_r) / self.xi
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         if np.any(p < 1.0 - self.zeta_u * (1.0 + 1e-12)):
             raise DomainError("GPDTail quantile below tail coverage")
         log_r = np.log(np.minimum(1.0 - p, self.zeta_u) / self.zeta_u)
@@ -323,7 +337,11 @@ class Weibull:
     def cdf(self, x: float) -> float:
         if x <= 0:
             return 0.0
-        return -math.expm1(-((x / self.scale) ** self.shape))
+        try:
+            z = (x / self.scale) ** self.shape
+        except OverflowError:  # shape ln(x / scale) > 709.8, where the cdf is 1
+            return 1.0
+        return -math.expm1(-z)
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
@@ -343,6 +361,8 @@ class Weibull:
             ) from None
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
 
     def band_mean(self, a1: float, a2: float) -> float:
@@ -357,7 +377,10 @@ class Weibull:
         return _exp_mean(math.log(self.scale) - math.log(a2 - a1) + log_band, "Weibull")
 
     def mean(self) -> float:
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
+        try:
+            return self.scale * math.gamma(1.0 + 1.0 / self.shape)
+        except OverflowError:  # Gamma(1 + 1/k) passes the double range below k ~ 0.0058
+            raise DomainError(f"Weibull mean exceeds the double range at shape {self.shape}") from None
 
     def support(self):
         return (0.0, math.inf)
@@ -392,14 +415,19 @@ class Exponential:
         return -math.log(s) / self.lam
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return -np.log1p(-p) / self.lam
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: [Gamma(2, t1) - Gamma(2, t2)] / (lam w).
 
         Gamma(2, t) = (1 + t)(1 - a); incomplete_gamma_band differences it
-        on the side that keeps narrow bands near level 0 accurate.
+        on the side that keeps narrow bands near level 0 accurate. A
+        NARROW_BAND band is averaged by the Kronrod rule instead.
         """
+        if _narrow(a1, a2):
+            return qk21(self.quantile, a1, a2)[0] / (a2 - a1)
         t1 = -math.log1p(-a1)
         t2 = math.inf if a2 >= 1.0 else -math.log1p(-a2)
         return incomplete_gamma_band(2.0, t1, t2) / (self.lam * (a2 - a1))
@@ -488,7 +516,7 @@ def uni_rvar(m, levels: LevelRange):
     - Uniform(lo, hi): lo + (hi - lo)(alpha1 + alpha2)/2
 
     Gamma(s, t) is the upper incomplete gamma and li the logarithmic
-    integral. A GEV band no wider than NARROW_BAND times
+    integral. A GEV or exponential band no wider than NARROW_BAND times
     min(alpha1, 1 - alpha2) is averaged by the 21-point Kronrod rule
     instead. With alpha2 = 1 this is the TVaR and may return DIVERGES.
     """

@@ -13,8 +13,10 @@ function, and in-package series and continued fractions the rest.
   Steed's algorithm; the other tail is 1 minus it, at least 0.4 there.
 - The prefactor x^s e^(-x) / Gamma(s) is a product of correctly rounded
   factors for s <= 100 and a Stirling form in x/s - 1 - ln(x/s) above.
-- Gamma(s, a) for s <= 0 is the same continued fraction for a >= 0.5 and
-  downward recurrence from an order in [0, 1) below.
+- Gamma(s, a) for s <= 0 is the same continued fraction for a >= 0.5.
+  Below that, downward recurrence runs from a base order in (-0.5, 0.5],
+  whose value is the small-order Taylor form, which stays accurate as the
+  base order goes to 0 from either side.
 - E1 is its power series (DLMF 6.6.2), summed exactly, up to x = 1.5 and
   the s = 0 continued fraction beyond.
 
@@ -154,7 +156,8 @@ def _small_order(s: float, x: float, h: float) -> tuple[float, float]:
     From the Taylor series of the lower gamma (DiDonato & Morris 1986):
     s gamma(s, x) = x^s (1 - J) with J = -s sum_{n>=1} (-x)^n / (n! (s+n)),
     and with L = x^s - 1, Q = (x^s J - L)(1 + h) - h, every part of which is
-    small where Q is; P is s gamma(s, x) (1 + h).
+    small where Q is; P is s gamma(s, x) (1 + h). The Q form also holds for
+    -0.5 <= s < 0, as Gamma(s, x) / Gamma(s) (upper_incomplete_gamma's base order).
     """
     if x == 0.0:
         return 0.0, 1.0
@@ -214,7 +217,9 @@ def upper_incomplete_gamma(s: float, a: float) -> float:
     diverges otherwise). For s <= 0, a >= 0.5 takes the continued fraction,
     which holds for every real order; below that, downward recurrence
     Gamma(o, a) = (Gamma(o+1, a) - a^o e^(-a)) / o runs from the base
-    order s + k in [0, 1), k = -floor(s), with Gamma(0, a) = E1(a).
+    order b = s + k in (-0.5, 0.5], k = floor(0.5 - s), with Gamma(0, a) =
+    E1(a) and otherwise Gamma(b, a) = Q(b, a) Gamma(b) from the small-order
+    form, so no step divides a cancelled difference by an order near 0.
     """
     if a < 0:
         raise DomainError(f"upper_incomplete_gamma requires a >= 0, got a={a}")
@@ -228,9 +233,9 @@ def upper_incomplete_gamma(s: float, a: float) -> float:
         return _regularized_pq(s, a)[1] * _gamma(s)
     if a >= 0.5:
         return a**s * math.exp(-a) * _upper_gamma_cf(s, a)
-    k = -math.floor(s)
+    k = math.floor(0.5 - s)
     base = s + k
-    g = _exp1(a) if base == 0.0 else _regularized_pq(base, a)[1] * math.gamma(base)
+    g = _exp1(a) if base == 0.0 else _small_order(base, a, _gam1(base))[1] * _gamma(base)
     # the orders are s + i, so the last step divides by s itself
     for i in range(k - 1, -1, -1):
         order = s + i

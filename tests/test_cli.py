@@ -520,3 +520,91 @@ def test_demo_runs_without_scipy(demo):
                           capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+# the five univariate queries of the cli_batch benchmark, with their exit codes
+_UNI_QUERIES = [
+    (0, ["uni", "--gev", "mu=0", "sigma=1", "xi=0.2", "--measure", "rvar",
+         "--alpha1", "0.95", "--alpha2", "0.99"]),
+    (0, ["uni", "--gpd", "u=10", "sigma=2", "xi=0.25", "zeta=0.05", "--measure", "tvar",
+         "--alpha", "0.98"]),
+    (0, ["uni", "--weibull", "shape=2", "scale=50", "--measure", "tvar", "--alpha", "0.93"]),
+    (0, ["uni", "--gev", "mu=0", "sigma=1", "xi=1.2", "--measure", "tvar", "--alpha", "0.99"]),
+    (2, ["uni", "--gev", "mu=0", "sigma=1", "xi=0.2", "--measure", "var", "--alpha", "1.5"]),
+]
+
+# each query as ``python -m rvar.cli`` would run it, in one fresh interpreter
+_UNI_PROBE = """
+import contextlib, io, json, runpy, sys
+import rvar, rvar.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "numpy"
+                  or m in ("rvar.dependence", "rvar.empirical", "rvar.orthant", "rvar.robustness"))
+
+seen = {{"import rvar, rvar.cli": loaded()}}
+codes = []
+for _, argv in {queries!r}:
+    sys.argv = ["rvar", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("rvar.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            codes.append(exc.code)
+    seen[" ".join(argv)] = loaded()
+print(json.dumps({{"seen": seen, "codes": codes}}))
+"""
+
+
+def test_uni_queries_load_no_numpy():
+    # a fresh interpreter: the test process itself has every layer loaded
+    probe = _UNI_PROBE.format(queries=_UNI_QUERIES)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [want for want, _ in _UNI_QUERIES]
+    assert len(got["seen"]) == 1 + len(_UNI_QUERIES)
+    assert got["seen"] == {point: [] for point in got["seen"]}
+
+
+# resolves every exported name in a fresh interpreter, by getattr or by a star import
+_EXPORT_PROBE = """
+import json, sys
+import rvar
+
+names = rvar.__all__
+report = {{"missing from dir": sorted(set(names) - set(dir(rvar)))}}
+if {star!r}:
+    space = {{}}
+    exec("from rvar import *", space)
+    report["unbound"] = sorted(set(names) - set(space))
+    values = {{name: space[name] for name in names if name in space}}
+else:
+    values = {{name: getattr(rvar, name) for name in names}}
+homes = [m for n, m in list(sys.modules.items()) if n.startswith("rvar.")]
+report["not the defining module's value"] = sorted(
+    name for name, value in values.items() if not any(vars(m).get(name) is value for m in homes))
+report["unknown name resolves"] = hasattr(rvar, "no_such_name")
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["getattr", "star-import"])
+def test_lazy_exports_resolve_every_name(star):
+    proc = subprocess.run([sys.executable, "-c", _EXPORT_PROBE.format(star=star)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert not any(report.values()), report
+
+
+def test_weibull_far_above_its_scale_ends_without_traceback():
+    # (x / scale)^shape overflowed in Weibull.cdf: exit 1 with an OverflowError
+    argv = ["sensitivity", "--margin1", "weibull", "shape=1000", "scale=1", "--margin2",
+            "exponential", "lam=1", "--copula", "independence", "--target", "lower_var",
+            "--alpha", "0.5", "--x-fixed", "10"]
+    proc = subprocess.run([sys.executable, "-m", "rvar.cli", *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr

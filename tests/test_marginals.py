@@ -249,6 +249,36 @@ def test_gev_rvar_at_very_negative_shape(xi, a1, a2, want):
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.parametrize("xi,want", [
+    # the band average of the quantile over [0.5, 0.9] at the binary xi, mpmath at 50 digits
+    (1.0 - 1e-9, "2.492824098535957025695646"),
+    (1.0 + 1e-9, "2.492824103276228705299886"),
+    (1.0 + 1e-7, "2.492824337919685472515606"),
+    (1.0 + 1e-6, "2.492826471043375322535315"),
+])
+def test_gev_rvar_next_to_unit_shape(xi, want):
+    # Gamma(1 - xi, t) for -1e-7 < 1 - xi < 0 once divided a cancelled
+    # difference by 1 - xi: 2.3e-7 off at xi = 1 + 1e-9
+    got = uni_rvar(GEV(0.0, 1.0, xi), LevelRange(0.5, 0.9))
+    assert got == pytest.approx(float(want), rel=1e-13)
+
+
+def test_exponential_rvar_on_a_narrow_band():
+    # mpmath at 50 digits, binary endpoints; differencing the incomplete
+    # gamma tails was off by 7.4e-15 here
+    got = uni_rvar(Exponential(1e6), LevelRange(0.6, 0.61))
+    assert got == pytest.approx(9.288962204868498795123105e-7, rel=1e-15)
+
+
+def test_weibull_cdf_and_mean_past_the_double_range():
+    # (x / scale)^shape and Gamma(1 + 1/shape) once raised OverflowError
+    m = Weibull(1000.0, 1.0)
+    assert m.cdf(10.0) == 1.0 and m.cdf(1e300) == 1.0
+    assert m.cdf(1.0) == -math.expm1(-1.0)
+    with pytest.raises(DomainError):
+        Weibull(0.005, 1.0).mean()
+
+
 def test_out_of_range_band_means_are_domain_errors():
     # mpmath: -7.944e324 for this GEV band and 9.47e358 for the Weibull one,
     # beyond the largest double; exp() of their logarithms overflowed

@@ -151,6 +151,25 @@ def test_negative_order_lands_on_the_requested_order():
     assert upper_incomplete_gamma(-0.2, 0.5) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("s,a,want", [
+    # mpmath at 50 digits
+    (-1e-12, 1e-3, "6.331539364159026702612532"),
+    (-1e-12, 0.3, "0.9056766516762075003038919"),
+    (-1e-9, 1e-3, "6.331539387013540770834704"),
+    (-1e-9, 0.3, "0.9056766520366071978570614"),
+    (-1e-7, 1e-3, "6.331541651875830474042908"),
+    (-1e-7, 0.3, "0.9056766877518948011709335"),
+    (-1.0 - 1e-9, 1e-3, "992.6689663545439509427813"),
+    (-1.0 - 1e-9, 0.3, "1.563717418311818446907238"),
+    (-0.3, 1e-3, "22.16210192575859241527535"),
+    (-0.3, 0.3, "1.035908388710683703820026"),
+])
+def test_upper_incomplete_gamma_next_to_order_zero(s, a, want):
+    # the recurrence from Gamma(s + 1, a) divided a cancelled difference by
+    # s and lost ~|log10 s| digits: 1.3e-7 off at s = -1e-9, a = 0.3
+    assert upper_incomplete_gamma(s, a) == pytest.approx(float(want), rel=1e-14)
+
+
 _ORDERS = st.floats(0.01, 60.0)
 _POINTS = st.floats(1e-6, 700.0)
 
