@@ -25,13 +25,16 @@ _EXPORTS = {
     ),
     "empirical": (
         "ConsistencyReport",
+        "EmpiricalCurve",
         "EstimatorConfig",
         "SampleMatrix",
         "consistency_experiment",
         "ecdf",
         "emp_lower_rvar",
+        "emp_lower_rvar_curve",
         "emp_lower_var",
         "emp_upper_rvar",
+        "emp_upper_rvar_curve",
         "emp_upper_var",
         "esurv",
         "marginal_quantile",

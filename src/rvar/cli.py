@@ -330,7 +330,12 @@ def read_samples(path: str) -> SampleMatrix:
 def cmd_empirical(cfg: RunConfig) -> int:
     import numpy as np
 
-    from .empirical import EstimatorConfig, emp_lower_rvar, emp_upper_rvar, marginal_quantile
+    from .empirical import (
+        EstimatorConfig,
+        emp_lower_rvar_curve,
+        emp_upper_rvar_curve,
+        marginal_quantile,
+    )
 
     s = read_samples(_need(cfg, "input"))
     if s.d != 2:
@@ -342,6 +347,8 @@ def cmd_empirical(cfg: RunConfig) -> int:
     est = EstimatorConfig(_int(cfg, "m", 100), levels)
     grid_n = _int(cfg, "grid", 200)
     fixed_index = _int(cfg, "fixed_index", 1)
+    if fixed_index not in (1, 2):
+        raise DomainError(f"fixed_index must be 1 or 2, got {fixed_index}")
     free_index = 2 if fixed_index == 1 else 1
     col = s.data[:, fixed_index - 1]
     if kind == "lower_rvar":
@@ -353,17 +360,13 @@ def cmd_empirical(cfg: RunConfig) -> int:
     if not hi > lo:
         raise DomainError("degenerate fixed-coordinate range in the data")
     xs = np.linspace(lo, hi, grid_n)
+    estimate = emp_lower_rvar_curve if kind == "lower_rvar" else emp_upper_rvar_curve
+    curve = estimate(s, est, xs, free_index)
     stream, close = _open_out(cfg)
     try:
         stream.write(_CSV_HEADER + "\n")
-        for x in xs:
-            try:
-                if kind == "lower_rvar":
-                    val = emp_lower_rvar(s, est, float(x), free_index)
-                else:
-                    val = emp_upper_rvar(s, est, float(x), free_index)
-            except DomainError:
-                val = None
+        for x, val, err in zip(xs, curve.values, curve.errors):
+            val = None if err is not None else float(val)
             stream.write(
                 f"{x:.10g},{_fmt(val)},{kind},{levels.alpha1:.10g},"
                 f"{levels.alpha2:.10g},{fixed_index}\n"

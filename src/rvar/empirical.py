@@ -6,9 +6,12 @@ ceiling with a small fuzz so that exact multiples of 1/n are not lost to
 floating point.
 
 Each queried column of a sample keeps a rank index (its sorted values and
-the row at every rank), so an estimate selects the conditioned rows by
-mask and reads its order statistics off a running count of conditioned
-rows in rank order, without sorting.
+the row at every rank).  An estimate gives each row a bucket, the first
+grid point at which the row is conditioned: one pinned point compares the
+pinned columns with it, and a curve, whose conditioned sets are nested
+along the grid, searches its grid once per row.  Every grid point's count
+and order statistics then come from the buckets in rank order, without
+sorting.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from numbers import Integral
-
 import numpy as np
 
 from .dependence import BivariateModel, sample
@@ -31,6 +33,7 @@ from .marginals import LevelRange
 from .orthant import _band_mapped_rvar, lower_rvar
 
 _INDEX_FUZZ = 1e-9
+_CHUNK_CELLS = 1 << 14  # rows or cells per block of transient per-row work
 
 
 @dataclass(frozen=True)
@@ -106,46 +109,99 @@ def esurv(s: SampleMatrix, point) -> float:
     return float(np.mean(np.all(s.data > p, axis=1)))
 
 
-def _conditioned(s: SampleMatrix, x_fixed, free_index: int, above: bool):
-    """Rank index of the free column, mask and number of the conditioned rows.
-
-    A row qualifies when every pinned coordinate is at or below its entry of
-    x_fixed, or strictly above it when ``above``.
-    """
+def _free_and_pinned(s: SampleMatrix, free_index: int):
     if not 1 <= free_index <= s.d:
         raise DomainError(f"free_index must be in 1..{s.d}, got {free_index}")
     fc = free_index - 1
-    others = [c for c in range(s.d) if c != fc]
+    return fc, [c for c in range(s.d) if c != fc]
+
+
+def _conditioned(s: SampleMatrix, x_fixed, free_index: int, above: bool):
+    """Free column and row buckets of one pinned point.
+
+    A row qualifies when every pinned coordinate is at or below its entry of
+    x_fixed, or strictly above it when ``above``; a NaN pin qualifies none.
+    Its bucket is 0 (False) when it qualifies and 1 (True) when not: a
+    one-point grid, compared column by column instead of searched.
+    """
+    fc, others = _free_and_pinned(s, free_index)
     x = np.asarray(x_fixed, dtype=float).reshape(-1)
     if x.size == 1:
-        x = np.full(len(others), float(x[0]))
-    if x.size != len(others):
+        x = [float(x[0])] * len(others)
+    if len(x) != len(others):
         raise DomainError(f"x_fixed must supply {len(others)} pinned coordinates")
-    mask = None
+    hit = None
     for c, xc in zip(others, x):
-        hit = s.data[:, c] > xc if above else s.data[:, c] <= xc
-        mask = hit if mask is None else mask & hit
-    return (*s._rank_index(fc), mask, int(np.count_nonzero(mask)))
+        h = s.data[:, c] > xc if above else s.data[:, c] <= xc
+        hit = h if hit is None else np.logical_and(hit, h, out=hit)
+    return fc, np.logical_not(hit, out=hit)
 
 
-def _count_from(order: np.ndarray, mask: np.ndarray, rank: int) -> int:
-    """Number of conditioned rows at or above a rank."""
-    return int(np.count_nonzero(mask[order[rank:]]))
+def _curve_buckets(s: SampleMatrix, points: np.ndarray, others: list, above: bool) -> np.ndarray:
+    """Row buckets of a curve's distinct grid points, given in ascending order.
 
-
-def _order_stats(vals, order, mask, k: int, j: np.ndarray, lo: int | None = None) -> np.ndarray:
-    """Values at the 1-based order statistics j of the k conditioned rows.
-
-    j must be non-decreasing and at most k, and lo a rank at or below that
-    of the j[0]-th conditioned row.  Ranks are distinct, so j[0] - 1, the
-    default, always is.  Only ranks from lo up are visited: the running
-    count of conditioned rows among them locates each order statistic.
+    The points are ranked so that the conditioned sets grow with the rank:
+    ascending for the lower estimators, descending for the upper ones.  A
+    row's bucket is the first rank at which it qualifies (the number of
+    points if none), so it qualifies at rank g iff its bucket is at most g.
+    Every pinned column, listed in ``others``, is held at the grid point, so
+    a row is keyed by the largest (lower) or smallest (upper) of them.
     """
-    if lo is None:
-        lo = int(j[0]) - 1
-    count = np.cumsum(mask[order[lo:]])
-    below = k - int(count[-1])
-    return vals[lo + np.searchsorted(count, j - below)]
+    size = points.size
+    key = s.data[:, others[0]]
+    for c in others[1:]:
+        key = (np.minimum if above else np.maximum)(key, s.data[:, c])
+    bucket = np.empty(s.n, dtype=np.min_scalar_type(size))
+    for i in range(0, s.n, _CHUNK_CELLS):
+        b = np.searchsorted(points, key[i:i + _CHUNK_CELLS])  # grid points below the key
+        bucket[i:i + _CHUNK_CELLS] = size - b if above else b
+    return bucket
+
+
+def _at_or_below(bucket: np.ndarray, size: int):
+    """Number of buckets at or below each rank g < size: rows qualifying at g.
+
+    A one-point bucket is boolean and gives one count, a numpy scalar.
+    """
+    if bucket.dtype == bool:
+        return np.intp(bucket.size - np.count_nonzero(bucket))
+    hist = np.zeros(size + 1, dtype=np.intp)
+    for i in range(0, bucket.size, _CHUNK_CELLS):
+        hist += np.bincount(bucket[i:i + _CHUNK_CELLS], minlength=size + 1)
+    return np.cumsum(hist[:size])
+
+
+def _order_stat_means(index, bucket, g, k, j, lo: int):
+    """Mean of the 1-based order statistics j of the rows qualifying at rank g.
+
+    ``index`` is the free column's rank index and k the number of rows
+    qualifying at g.  A one-point bucket has the one rank g = 0, a scalar k
+    and one row j; a curve has a row of j per entry of the arrays g and k.
+    Each row of j must be non-decreasing and at most its k, and lo a rank
+    at or below that of every row's j[0]-th qualifying row.  Ranks are
+    distinct, so min(j[..., 0]) - 1 always is.  Only ranks from lo up are
+    visited: the qualifying ones among them, listed in rank order, locate
+    each order statistic.  A block of grid ranks, at most _CHUNK_CELLS
+    cells or one rank's, lists them all in one pass.  The mean is np.mean's:
+    the row sum over the row length.
+    """
+    vals, order = index
+    vals, b = vals[lo:], bucket[order[lo:]]
+    g = np.asarray(g, dtype=b.dtype)  # compare in the buckets' type
+    # a rank's k - (hits at or above lo) qualifying rows come before its hits
+    if g.ndim == 0:
+        hits = np.flatnonzero(b <= g)
+        return vals[hits[j + (hits.size - k - 1)]].sum() / j.size
+    width = b.size
+    rows = max(1, _CHUNK_CELLS // width)
+    out = np.empty(len(g))
+    for i in range(0, len(g), rows):
+        hit = b <= g[i:i + rows, None]
+        hits = np.flatnonzero(hit)  # cells of the block, rank by rank
+        ends = np.searchsorted(hits, np.arange(width, (len(hit) + 1) * width, width))
+        at = hits[j[i:i + rows] + (ends - k[i:i + rows] - 1)[:, None]]
+        out[i:i + rows] = vals[at % width].sum(axis=1) / j.shape[1]
+    return out
 
 
 def marginal_quantile(s: SampleMatrix, col: int, p: float) -> float:
@@ -159,11 +215,80 @@ def marginal_quantile(s: SampleMatrix, col: int, p: float) -> float:
     return float(vals[min(j, s.n) - 1])
 
 
+def _lower_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, size: int):
+    """Rungs of the lower estimate at each grid rank: k, j, lo, good and top.
+
+    k rows qualify at a rank.  Where good, its estimate is the mean free
+    value of the j-th of them (a row of j per rank), the first ranked at or
+    above lo; elsewhere _ladder_error names the failure from k and the band
+    top.  A one-point bucket gives scalars and one row of j.
+    """
+    a1, a2 = cfg.levels.alpha1, cfg.levels.alpha2
+    vals, order = s._rank_index(fc)
+    k = _at_or_below(bucket, size)
+    q2 = marginal_quantile(s, fc + 1, a2)
+    end = np.searchsorted(vals, q2, side="right")  # first rank above q2 and its ties
+    top = (k - _at_or_below(bucket[order[end:]], size)) / s.n
+    step = (top - a1) / cfg.m
+    u = a1 + step[..., None] * np.arange(1, cfg.m + 1)
+    j = np.maximum(1, np.ceil(s.n * u - _INDEX_FUZZ).astype(int))
+    good = (top > a1 + 1e-12) & (j[..., -1] <= k)  # a band implies k > 0
+    return k, j, j[..., 0] - 1, good, top
+
+
+def _upper_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, size: int):
+    """Rungs of the upper estimate at each grid rank: k, j, lo, good and bottom.
+
+    As _lower_ladder, with the band bottom in place of its top.
+    """
+    a1, a2 = cfg.levels.alpha1, cfg.levels.alpha2
+    vals, order = s._rank_index(fc)
+    k = _at_or_below(bucket, size)
+    start, above = 0, k  # qualifying rows ranked above q1 and its ties
+    if a1 > 0.0:
+        q1 = marginal_quantile(s, fc + 1, a1)
+        start = int(np.searchsorted(vals, q1, side="right"))
+        above = _at_or_below(bucket[order[start:]], size)
+    bottom = 1.0 - above / s.n
+    step = (a2 - bottom) / cfg.m
+    v = bottom[..., None] + step[..., None] * np.arange(1, cfg.m + 1)
+    j = np.ceil(k[..., None] - s.n * (1.0 - v) - _INDEX_FUZZ).astype(int)
+    good = (bottom < a2 - 1e-12) & (j[..., 0] >= 1)  # a band implies k > 0
+    j = np.minimum(j, k[..., None])
+    lo = j[..., 0] - 1
+    # the ladder starts above q1, unless the fuzz pulled it below
+    lo = np.where(k - above < j[..., 0], np.maximum(lo, start), lo)
+    return k, j, lo, good, bottom
+
+
+def _ladder_error(above: bool, k, edge: float, levels: LevelRange) -> DomainError:
+    """Why a ladder with k qualifying rows and band edge ``edge`` failed.
+
+    The edge is the band's top for a lower ladder and its bottom for an
+    upper one.
+    """
+    if k == 0:
+        where = "strictly above" if above else "at or below"
+        return EmptyConditioningError(f"no observations {where} the pinned point")
+    if above and edge >= levels.alpha2 - 1e-12:
+        return DegenerateRangeError(
+            f"empirical band bottom {edge:.6g} reaches alpha2={levels.alpha2:.6g}"
+        )
+    if not above and edge <= levels.alpha1 + 1e-12:
+        return DegenerateRangeError(
+            f"empirical band top {edge:.6g} does not exceed alpha1={levels.alpha1:.6g}"
+        )
+    if above:
+        return InfeasibleLevelError("level ladder is met below the conditioned sample")
+    return InfeasibleLevelError("level ladder exceeds the conditioned sample")
+
+
 def emp_lower_var(s: SampleMatrix, u: float, x_fixed, free_index: int = 2) -> float:
     """Smallest conditioned order statistic pushing the joint ecdf to u."""
     if not 0.0 < u <= 1.0:
         raise DomainError(f"u must lie in (0, 1], got {u}")
-    vals, order, mask, k = _conditioned(s, x_fixed, free_index, above=False)
+    fc, bucket = _conditioned(s, x_fixed, free_index, above=False)
+    k = _at_or_below(bucket, 1)
     if k == 0:
         raise EmptyConditioningError("no observations at or below the pinned point")
     j = max(1, math.ceil(s.n * u - _INDEX_FUZZ))
@@ -171,14 +296,15 @@ def emp_lower_var(s: SampleMatrix, u: float, x_fixed, free_index: int = 2) -> fl
         raise InfeasibleLevelError(
             f"level u={u:.6g} needs joint mass {j}/{s.n}, only {k} rows qualify"
         )
-    return float(_order_stats(vals, order, mask, k, np.array([j]))[0])
+    return float(_order_stat_means(s._rank_index(fc), bucket, 0, k, np.array([j]), j - 1))
 
 
 def emp_upper_var(s: SampleMatrix, v: float, x_fixed, free_index: int = 2) -> float:
     """Smallest conditioned order statistic pushing the joint esurv below 1 - v."""
     if not 0.0 < v <= 1.0:
         raise DomainError(f"v must lie in (0, 1], got {v}")
-    vals, order, mask, k = _conditioned(s, x_fixed, free_index, above=True)
+    fc, bucket = _conditioned(s, x_fixed, free_index, above=True)
+    k = _at_or_below(bucket, 1)
     if k == 0:
         raise EmptyConditioningError("no observations strictly above the pinned point")
     j = math.ceil(k - s.n * (1.0 - v) - _INDEX_FUZZ)
@@ -186,57 +312,82 @@ def emp_upper_var(s: SampleMatrix, v: float, x_fixed, free_index: int = 2) -> fl
         raise InfeasibleLevelError(
             f"level v={v:.6g} is met below every conditioned observation"
         )
-    return float(_order_stats(vals, order, mask, k, np.array([min(j, k)]))[0])
+    j = min(j, k)
+    return float(_order_stat_means(s._rank_index(fc), bucket, 0, k, np.array([j]), j - 1))
 
 
 def emp_lower_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: int = 2) -> float:
     """Average of emp_lower_var over an m-point ladder on the clipped band."""
-    a1, a2 = cfg.levels.alpha1, cfg.levels.alpha2
-    vals, order, mask, k = _conditioned(s, x_fixed, free_index, above=False)
-    if k == 0:
-        raise EmptyConditioningError("no observations at or below the pinned point")
-    q2 = marginal_quantile(s, free_index, a2)
-    top = float(k - _count_from(order, mask, np.searchsorted(vals, q2, side="right"))) / s.n
-    if top <= a1 + 1e-12:
-        raise DegenerateRangeError(
-            f"empirical band top {top:.6g} does not exceed alpha1={a1:.6g}"
-        )
-    step = (top - a1) / cfg.m
-    u = a1 + step * np.arange(1, cfg.m + 1)
-    j = np.maximum(1, np.ceil(s.n * u - _INDEX_FUZZ).astype(int))
-    if j[-1] > k:
-        raise InfeasibleLevelError("level ladder exceeds the conditioned sample")
-    return float(np.mean(_order_stats(vals, order, mask, k, j)))
+    fc, bucket = _conditioned(s, x_fixed, free_index, above=False)
+    k, j, lo, good, top = _lower_ladder(s, cfg, fc, bucket, 1)
+    if not good:
+        raise _ladder_error(False, k, top, cfg.levels)
+    return float(_order_stat_means(s._rank_index(fc), bucket, 0, k, j, int(lo)))
 
 
 def emp_upper_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: int = 2) -> float:
     """Average of emp_upper_var over an m-point ladder on the clipped band."""
-    a1, a2 = cfg.levels.alpha1, cfg.levels.alpha2
-    vals, order, mask, k = _conditioned(s, x_fixed, free_index, above=True)
-    if k == 0:
-        raise EmptyConditioningError("no observations strictly above the pinned point")
-    start, above = 0, k  # conditioned rows ranked above q1 and its ties
-    if a1 <= 0.0:
-        bottom = 1.0 - k / s.n
-    else:
-        q1 = marginal_quantile(s, free_index, a1)
-        start = int(np.searchsorted(vals, q1, side="right"))
-        above = _count_from(order, mask, start)
-        bottom = 1.0 - float(above) / s.n
-    if bottom >= a2 - 1e-12:
-        raise DegenerateRangeError(
-            f"empirical band bottom {bottom:.6g} reaches alpha2={a2:.6g}"
-        )
-    step = (a2 - bottom) / cfg.m
-    v = bottom + step * np.arange(1, cfg.m + 1)
-    j = np.ceil(k - s.n * (1.0 - v) - _INDEX_FUZZ).astype(int)
-    if np.any(j < 1):
-        raise InfeasibleLevelError("level ladder is met below the conditioned sample")
-    j = np.minimum(j, k)
-    lo = int(j[0]) - 1
-    if k - above < j[0]:  # the ladder starts above q1, unless the fuzz pulled it below
-        lo = max(lo, start)
-    return float(np.mean(_order_stats(vals, order, mask, k, j, lo)))
+    fc, bucket = _conditioned(s, x_fixed, free_index, above=True)
+    k, j, lo, good, bottom = _upper_ladder(s, cfg, fc, bucket, 1)
+    if not good:
+        raise _ladder_error(True, k, bottom, cfg.levels)
+    return float(_order_stat_means(s._rank_index(fc), bucket, 0, k, j, int(lo)))
+
+
+@dataclass(frozen=True)
+class EmpiricalCurve:
+    """Ladder estimates over a grid of pinned values.
+
+    ``values[i]`` is the estimate at ``grid[i]``, NaN where it failed, and
+    ``errors[i]`` the DomainError the per-point estimator raises there, or
+    None.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+    errors: tuple
+
+
+def _curve(s: SampleMatrix, cfg: EstimatorConfig, grid, free_index: int, above: bool):
+    fc, others = _free_and_pinned(s, free_index)
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1 or np.isnan(grid).any():
+        raise DomainError("grid must be a 1-dimensional array of numbers")
+    points, rank = np.unique(grid, return_inverse=True)
+    bucket = _curve_buckets(s, points, others, above)
+    ladder = _upper_ladder if above else _lower_ladder
+    k, j, lo, good, edge = ladder(s, cfg, fc, bucket, points.size)
+    values = np.full(points.size, np.nan)
+    g = np.flatnonzero(good)
+    if g.size:
+        values[g] = _order_stat_means(s._rank_index(fc), bucket, g, k[g], j[g], int(lo[g].min()))
+    errors = [None if good[r] else _ladder_error(above, k[r], edge[r], cfg.levels)
+              for r in range(points.size)]
+    if above:  # ranked from the largest point down
+        values, errors = values[::-1], errors[::-1]
+    return EmpiricalCurve(grid, values[rank], tuple(errors[g] for g in rank))
+
+
+def emp_lower_rvar_curve(
+    s: SampleMatrix, cfg: EstimatorConfig, grid, free_index: int = 2
+) -> EmpiricalCurve:
+    """emp_lower_rvar at every point of a grid, in one pass over the sample.
+
+    Every pinned coordinate is held at the grid point.  Points may repeat
+    and come in any order; NaN is rejected.
+    """
+    return _curve(s, cfg, grid, free_index, above=False)
+
+
+def emp_upper_rvar_curve(
+    s: SampleMatrix, cfg: EstimatorConfig, grid, free_index: int = 2
+) -> EmpiricalCurve:
+    """emp_upper_rvar at every point of a grid, in one pass over the sample.
+
+    Every pinned coordinate is held at the grid point.  Points may repeat
+    and come in any order; NaN is rejected.
+    """
+    return _curve(s, cfg, grid, free_index, above=True)
 
 
 @dataclass(frozen=True)
@@ -247,6 +398,7 @@ class ConsistencyReport:
     sd_dev: np.ndarray
     mean_abs_dev: np.ndarray
     failures: np.ndarray
+    failure_types: dict  # error type name -> failures of that type per grid point
     reps: int
     n: int
     m: int
@@ -265,8 +417,10 @@ def consistency_experiment(
 ) -> ConsistencyReport:
     """Replicate the lower RVaR estimator against its model value on a grid.
 
-    Each replication draws a fresh sample with seed + rep.  Estimator
-    domain errors at a grid point are counted, not fatal.
+    Each replication draws a fresh sample with seed + rep and estimates
+    the whole grid in one pass over it.  Domain errors at a grid point are
+    counted, not fatal: in total and by error type, a model value that
+    fails counting once per replication.
     """
     if reps < 2:
         raise DomainError("need at least 2 replications")
@@ -277,29 +431,32 @@ def consistency_experiment(
     # a copula with a level map has the model value in closed form
     closed = hasattr(b.copula, "lower_inverse")
     theo = np.full(grid.size, np.nan)
+    failure_types: dict = {}
+
+    def tally(err, gi, count):
+        failure_types.setdefault(type(err).__name__, np.zeros(grid.size, dtype=int))[gi] += count
+
     for gi, x in enumerate(grid):
         try:
             if closed:
                 theo[gi] = _band_mapped_rvar(b.copula, b, cfg.levels, float(x), fixed_index, upper=False)
             else:
                 theo[gi] = lower_rvar(b, cfg.levels, float(x), fixed_index)
-        except DomainError:
-            pass  # point outside the attainable band: counted below
+        except DomainError as exc:
+            tally(exc, gi, reps)  # point outside the attainable band
     devs = np.full((reps, grid.size), np.nan)
     failures = np.zeros(grid.size, dtype=int)
     failures[~np.isfinite(theo)] = reps
+    modelled = np.flatnonzero(np.isfinite(theo))
     for r in range(reps):
         sm = sample(b, n, seed + r)
-        for gi, x in enumerate(grid):
-            if not np.isfinite(theo[gi]):
-                continue
-            try:
-                est = emp_lower_rvar(sm, cfg, float(x), free_index)
-            except DomainError:
+        curve = emp_lower_rvar_curve(sm, cfg, grid[modelled], free_index)
+        devs[r, modelled] = curve.values - theo[modelled]
+        for gi, err in zip(modelled, curve.errors):
+            if err is not None:
                 failures[gi] += 1
-                continue
-            devs[r, gi] = est - theo[gi]
-        del sm  # the next replicate's sample and rank index never coexist with this one
+                tally(err, gi, 1)
+        del sm, curve  # the next replicate's sample and rank index never coexist with this one
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mean_dev = np.nanmean(devs, axis=0)
@@ -312,6 +469,7 @@ def consistency_experiment(
         sd_dev=sd_dev,
         mean_abs_dev=mean_abs_dev,
         failures=failures,
+        failure_types=dict(sorted(failure_types.items())),
         reps=reps,
         n=n,
         m=cfg.m,

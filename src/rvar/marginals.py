@@ -203,7 +203,12 @@ class GEV:
             return DIVERGES
         if abs(self.xi) < XI_ZERO_TOL:
             return self.mu + self.sigma * EULER_GAMMA
-        return self.mu + self.sigma * (math.gamma(1.0 - self.xi) - 1.0) / self.xi
+        try:
+            return self.mu + self.sigma * (math.gamma(1.0 - self.xi) - 1.0) / self.xi
+        except OverflowError:  # Gamma(1 - xi) passes the double range below xi ~ -170.6
+            raise DomainError(
+                f"GEV mean: Gamma(1 - xi) exceeds the double range at xi {self.xi}"
+            ) from None
 
     def support(self):
         if self.xi > 0:

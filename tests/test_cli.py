@@ -177,6 +177,39 @@ def test_empirical_na_rows(capsys, tmp_path):
     assert rows[-1][1] != "NA"
 
 
+@pytest.mark.parametrize("kind", ["lower_rvar", "upper_rvar"])
+@pytest.mark.parametrize("fixed_index", [1, 2])
+def test_empirical_rows_match_per_point_estimates(capsys, tmp_path, kind, fixed_index):
+    # rounded data: ties everywhere, grid points on data values, NA rows at the band ends
+    rng = np.random.default_rng(12)
+    data = np.round(rng.exponential(1.0, size=(300, 2)) + [0.0, 0.5], 1)
+    f = tmp_path / "ties.csv"
+    _write_samples(f, data.tolist())
+    code, out, _ = run_cli(capsys, [
+        "empirical", "--input", str(f), "--kind", kind, "--alpha1", "0.6", "--alpha2", "0.95",
+        "--m", "30", "--grid", "41", "--fixed-index", str(fixed_index)])
+    assert code == 0
+    s = rvar.SampleMatrix(data)
+    cfg = rvar.EstimatorConfig(30, LevelRange(0.6, 0.95))
+    col = data[:, fixed_index - 1]
+    if kind == "lower_rvar":
+        estimate = rvar.emp_lower_rvar
+        xs = np.linspace(rvar.marginal_quantile(s, fixed_index, 0.6), col.max(), 41)
+    else:
+        estimate = rvar.emp_upper_rvar
+        xs = np.linspace(col.min(), rvar.marginal_quantile(s, fixed_index, 0.95), 41)
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == [f"{x:.10g}" for x in xs]
+    na = 0
+    for x, row in zip(xs, rows):
+        try:
+            want = f"{estimate(s, cfg, float(x), 3 - fixed_index):.10g}"
+        except DomainError:
+            want, na = "NA", na + 1
+        assert row[1] == want
+    assert 0 < na < len(rows)
+
+
 def test_empirical_bad_header_exit_3(capsys, tmp_path):
     f = tmp_path / "bad.csv"
     _write_samples(f, [(1.0, 2.0), (3.0, 4.0)], header="a,b")
@@ -225,6 +258,18 @@ def test_empirical_missing_file_exit_3(capsys, tmp_path):
         "--alpha1", "0.8", "--alpha2", "0.95"])
     assert code == 3
     assert err.startswith("input error")
+
+
+@pytest.mark.parametrize("fixed_index", ["0", "3"])
+def test_empirical_fixed_index_out_of_range_exit_2(capsys, tmp_path, fixed_index):
+    # index 3 of two-column data once ended in an IndexError traceback
+    f = tmp_path / "d.csv"
+    _write_samples(f, [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+    code, out, err = run_cli(capsys, [
+        "empirical", "--input", str(f), "--kind", "upper_rvar", "--alpha1", "0.5",
+        "--alpha2", "0.9", "--fixed-index", fixed_index])
+    assert code == 2 and out == ""
+    assert "fixed_index must be 1 or 2" in err
 
 
 def test_simulate_schema_and_seed(capsys):

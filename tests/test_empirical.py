@@ -1,6 +1,8 @@
 """Empirical orthant estimators on hand-checkable samples."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import _oracles as orc
 import numpy as np
@@ -13,9 +15,11 @@ from rvar import (
     BivariateModel,
     DegenerateRangeError,
     DomainError,
+    EmpiricalCurve,
     EmptyConditioningError,
     EstimatorConfig,
     Exponential,
+    Gumbel,
     Independence,
     InfeasibleLevelError,
     LevelRange,
@@ -24,13 +28,18 @@ from rvar import (
     consistency_experiment,
     ecdf,
     emp_lower_rvar,
+    emp_lower_rvar_curve,
     emp_lower_var,
     emp_upper_rvar,
+    emp_upper_rvar_curve,
     emp_upper_var,
     esurv,
+    lower_var,
     marginal_quantile,
     sample,
+    upper_var,
 )
+from rvar import empirical
 
 DIAG = SampleMatrix(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]))
 
@@ -195,6 +204,19 @@ def test_consistency_experiment_counts_failures():
     assert rep.failures[1] == 0 and np.isfinite(rep.mean_dev[1])
 
 
+def test_consistency_experiment_counts_failures_by_type():
+    b = BivariateModel(Exponential(1.0), Exponential(2.0), Independence())
+    lr = LevelRange(0.9, 0.99)
+    # 0.05: no model value; 2.0 and 2.5: the small samples' bands degenerate
+    grid = np.array([0.05, 2.0, 2.5, 3.0, 4.0])
+    rep = consistency_experiment(b, reps=6, n=60, cfg=EstimatorConfig(20, lr), grid=grid, seed=5)
+    assert list(rep.failure_types) == ["DegenerateRangeError"]
+    np.testing.assert_array_equal(rep.failure_types["DegenerateRangeError"], [6, 6, 1, 1, 0])
+    np.testing.assert_array_equal(sum(rep.failure_types.values()), rep.failures)
+    rep = consistency_experiment(b, reps=3, n=400, cfg=EstimatorConfig(20, lr), grid=grid[3:], seed=5)
+    assert rep.failure_types == {} and not rep.failures.any()
+
+
 def test_consistency_experiment_validation():
     b = BivariateModel(Exponential(1.0), Exponential(2.0), Independence())
     with pytest.raises(DomainError):
@@ -246,7 +268,9 @@ def _estimator_cases(draw):
         elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
     data = np.array(draw(st.lists(st.lists(elements, min_size=d, max_size=d),
                                   min_size=n, max_size=n)))
-    pin = st.one_of(st.sampled_from(data.ravel().tolist()), st.floats(-5.0, 5.0))
+    # a NaN pin qualifies no row
+    pin = st.one_of(st.sampled_from(data.ravel().tolist()), st.floats(-5.0, 5.0),
+                    st.just(math.nan))
     if d == 3 and draw(st.booleans()):
         x_fixed = np.array([draw(pin), draw(pin)])
     else:
@@ -283,3 +307,85 @@ def test_estimators_match_mask_and_sort_reference(case):
     ]
     for got, want in pairs:
         assert type(got) is type(want) and got == want
+
+
+@st.composite
+def _curve_cases(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):  # integer-rounded data: heavy ties, also at the grid points
+        elements = st.integers(-3, 3).map(float)
+    else:
+        elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    data = np.array(draw(st.lists(st.lists(elements, min_size=d, max_size=d),
+                                  min_size=n, max_size=n)))
+    # data values test the weak (lower) and strict (upper) edges; repeats and
+    # any order test the grid's ranking
+    point = st.one_of(st.sampled_from(data.ravel().tolist()), st.floats(-5.0, 5.0),
+                      st.sampled_from([-math.inf, math.inf]))
+    grid = draw(st.lists(point, min_size=1, max_size=12))
+    grid = draw(st.permutations(grid + draw(st.lists(st.sampled_from(grid), max_size=4))))
+    level = st.one_of(st.integers(1, n).map(lambda i: i / n), st.floats(0.0, 1.0))
+    a1, a2 = sorted((draw(level), draw(level)))
+    if a1 == a2:
+        a2 = 1.0 if a1 < 1.0 else a2
+        a1 = 0.0 if a1 == a2 else a1
+    # small chunks split the rows and the grid ranks into many blocks
+    return dict(data=data, grid=np.array(grid), free_index=draw(st.integers(1, d)),
+                m=draw(st.integers(1, 30)), a1=a1, a2=a2,
+                chunk=draw(st.sampled_from([1, 3, 16, 1 << 14])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_curve_cases())
+def test_curves_match_per_point_estimates(case):
+    data, grid, fi = case["data"], case["grid"], case["free_index"]
+    m, a1, a2 = case["m"], case["a1"], case["a2"]
+    cfg = EstimatorConfig(m, LevelRange(a1, a2))
+    s = SampleMatrix(data)
+    for curve_of, at_point, oracle in ((emp_lower_rvar_curve, emp_lower_rvar, orc.bf_lower_rvar),
+                                       (emp_upper_rvar_curve, emp_upper_rvar, orc.bf_upper_rvar)):
+        with mock.patch.object(empirical, "_CHUNK_CELLS", case["chunk"]):
+            curve = curve_of(s, cfg, grid, fi)
+        np.testing.assert_array_equal(curve.grid, grid)
+        assert curve.values.shape == grid.shape and len(curve.errors) == grid.size
+        for x, value, err in zip(grid, curve.values, curve.errors):
+            got = float(value) if err is None else type(err)
+            assert err is None or (isinstance(err, DomainError) and math.isnan(value))
+            for want in (_outcome(at_point, s, cfg, float(x), fi),
+                         _outcome(oracle, data, m, a1, a2, float(x), fi)):
+                assert type(got) is type(want) and got == want
+
+
+def test_curve_grid_validation():
+    cfg = EstimatorConfig(2, LevelRange(0.25, 0.75))
+    for bad in (np.array([1.0, np.nan]), np.array([[1.0, 2.0]]), 3.0):
+        with pytest.raises(DomainError):
+            emp_lower_rvar_curve(DIAG, cfg, bad)
+    with pytest.raises(DomainError):
+        emp_upper_rvar_curve(DIAG, cfg, [1.0], free_index=3)
+    empty = emp_upper_rvar_curve(DIAG, cfg, [])
+    assert isinstance(empty, EmpiricalCurve)
+    assert empty.values.shape == (0,) and empty.errors == ()
+
+
+def test_curve_allocates_less_than_the_sample():
+    # a curve holds a bucket per row and bounded blocks of ladders and
+    # qualifying ranks; the rank index is built first, as any query does
+    gev = GEV(0.0, 1.0, 0.2)
+    b = BivariateModel(gev, gev, Gumbel(1.5))
+    s = sample(b, 200_000, seed=12)
+    marginal_quantile(s, 2, 0.5)
+    cfg = EstimatorConfig(250, LevelRange(0.9, 0.99))
+    lower = np.linspace(lower_var(b, 0.9, gev.quantile(0.99), fixed_index=2),
+                        gev.quantile(0.9995), 50)
+    upper = np.linspace(gev.quantile(0.02), upper_var(b, 0.99, gev.quantile(0.9), fixed_index=2), 50)
+    for curve_of, grid in ((emp_lower_rvar_curve, lower), (emp_upper_rvar_curve, upper)):
+        tracemalloc.start()
+        try:
+            curve = curve_of(s, cfg, grid, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(curve.values).mean() > 0.8
+        assert peak <= s.data.nbytes

@@ -279,6 +279,15 @@ def test_weibull_cdf_and_mean_past_the_double_range():
         Weibull(0.005, 1.0).mean()
 
 
+def test_gev_mean_past_the_double_range():
+    # Gamma(1 - xi) once raised OverflowError below xi ~ -170.6
+    want = (gamma_fn(171.0) - 1.0) / -170.0
+    assert GEV(0.0, 1.0, -170.0).mean() == pytest.approx(want, rel=1e-13)
+    for xi in (-170.7, -200.0, -1e6):
+        with pytest.raises(DomainError):
+            GEV(0.0, 1.0, xi).mean()
+
+
 def test_out_of_range_band_means_are_domain_errors():
     # mpmath: -7.944e324 for this GEV band and 9.47e358 for the Weibull one,
     # beyond the largest double; exp() of their logarithms overflowed
