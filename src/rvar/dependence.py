@@ -2,11 +2,14 @@
 
 Copulas: Independence (u v), Comonotone (min), Countermonotone
 (max(u+v-1, 0), a valid cdf for d = 2 only), and Gumbel with parameter
-theta >= 1 (theta = 1 is independence). Each carries its ``cdf(u, v)``
-and its sampler of uniforms, ``uniforms(rng, n)``. Pi, M and W also carry
-their level maps at a fixed first coordinate a, both affine in u:
-``lower_inverse(a, u)`` solves C(a, v) = u and ``upper_inverse(a, u)``
-solves v - C(a, v) = u - a (the joint survival reaching 1 - u).
+theta >= 1 (theta = 1 is independence). Each carries its ``cdf(u, v)``,
+its conditional cdf ``h(a, v)`` = dC(a, v)/dv, its lower level map
+``lower_inverse(a, u)``, the v that solves C(a, v) = u for u <= a, and
+its sampler of uniforms, ``uniforms(rng, n)``. Every copula here is
+exchangeable, so a fixed first or second coordinate reads the same maps.
+Pi, M and W also carry ``upper_inverse(a, u)``, which solves
+v - C(a, v) = u - a (the joint survival reaching 1 - u); their two level
+maps are affine in u and their h is piecewise constant in v.
 
 Sampling is seed-deterministic: a fixed seed yields a bit-identical
 sample matrix. The Gumbel sampler uses the positive-stable frailty
@@ -30,6 +33,9 @@ class Independence:
     def cdf(self, u: float, v: float) -> float:
         return u * v
 
+    def h(self, a: float, v: float, neg_log_v: float | None = None) -> float:
+        return a
+
     def lower_inverse(self, a: float, u: float) -> float:
         return u / a
 
@@ -44,6 +50,9 @@ class Independence:
 class Comonotone:
     def cdf(self, u: float, v: float) -> float:
         return min(u, v)
+
+    def h(self, a: float, v: float, neg_log_v: float | None = None) -> float:
+        return 1.0 if v <= a else 0.0
 
     def lower_inverse(self, a: float, u: float) -> float:
         return u
@@ -60,6 +69,9 @@ class Comonotone:
 class Countermonotone:
     def cdf(self, u: float, v: float) -> float:
         return max(u + v - 1.0, 0.0)
+
+    def h(self, a: float, v: float, neg_log_v: float | None = None) -> float:
+        return 1.0 if v >= 1.0 - a else 0.0
 
     def lower_inverse(self, a: float, u: float) -> float:
         # 1 - a is exact for a >= 1/2, so the sum rounds once
@@ -96,6 +108,33 @@ class Gumbel:
         val = math.exp(-lu * (1.0 + (lv / lu) ** self.theta) ** (1.0 / self.theta))
         # the exp(ln u) round trip can land a few ulps above the bound min(u, v)
         return val if val < u else u
+
+    def h(self, a: float, v: float, neg_log_v: float | None = None) -> float:
+        """dC(a, v)/dv = C(a, v) / v * (-ln v / S^(1/theta))^(theta - 1), for 0 < v <= 1.
+
+        S = (-ln a)^theta + (-ln v)^theta. ``neg_log_v`` is -ln v where the
+        caller holds it more precisely than v does (-log1p(-s) at v = 1 - s).
+        """
+        if a == 0.0:
+            return 0.0
+        if a == 1.0:
+            return 1.0
+        lv = -math.log(v) if neg_log_v is None else neg_log_v
+        la = -math.log(a)
+        lo, hi = (la, lv) if la < lv else (lv, la)
+        # S^(1/theta) with the larger log factored out, as in cdf
+        root = hi * (1.0 + (lo / hi) ** self.theta) ** (1.0 / self.theta)
+        return math.exp(lv - root) * (lv / root) ** (self.theta - 1.0)
+
+    def lower_inverse(self, a: float, u: float) -> float:
+        """v with C(a, v) = u: exp(-((-ln u)^theta - (-ln a)^theta)^(1/theta))."""
+        if u <= 0.0:
+            return 0.0
+        if u >= a:
+            return 1.0
+        lu, la = -math.log(u), -math.log(a)
+        # -ln u > -ln a: factor (-ln u)^theta out, as cdf does the larger log
+        return math.exp(-lu * (1.0 - (la / lu) ** self.theta) ** (1.0 / self.theta))
 
     def uniforms(self, rng, n: int) -> np.ndarray:
         if self.theta == 1.0:

@@ -204,11 +204,14 @@ class GEV:
         if abs(self.xi) < XI_ZERO_TOL:
             return self.mu + self.sigma * EULER_GAMMA
         try:
-            return self.mu + self.sigma * (math.gamma(1.0 - self.xi) - 1.0) / self.xi
+            mean = self.mu + self.sigma * (math.gamma(1.0 - self.xi) - 1.0) / self.xi
         except OverflowError:  # Gamma(1 - xi) passes the double range below xi ~ -170.6
+            mean = math.inf
+        if not math.isfinite(mean):  # or sigma carries a finite Gamma(1 - xi) past it
             raise DomainError(
-                f"GEV mean: Gamma(1 - xi) exceeds the double range at xi {self.xi}"
-            ) from None
+                f"GEV mean exceeds the double range at sigma {self.sigma}, xi {self.xi}"
+            )
+        return mean
 
     def support(self):
         if self.xi > 0:
@@ -383,9 +386,14 @@ class Weibull:
 
     def mean(self) -> float:
         try:
-            return self.scale * math.gamma(1.0 + 1.0 / self.shape)
+            mean = self.scale * math.gamma(1.0 + 1.0 / self.shape)
         except OverflowError:  # Gamma(1 + 1/k) passes the double range below k ~ 0.0058
-            raise DomainError(f"Weibull mean exceeds the double range at shape {self.shape}") from None
+            mean = math.inf
+        if mean == math.inf:  # or the scale carries a finite Gamma(1 + 1/k) past it
+            raise DomainError(
+                f"Weibull mean exceeds the double range at shape {self.shape}, scale {self.scale}"
+            )
+        return mean
 
     def support(self):
         return (0.0, math.inf)

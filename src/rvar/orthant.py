@@ -2,9 +2,24 @@
 
 Lower-orthant measures condition on the joint cdf staying above a level
 with one coordinate pinned; upper-orthant measures do the same through the
-joint survival function. In general an orthant VaR is a root in the free
-coordinate and its band average an integral, by ``quad``, the package's
-own port of QUADPACK's QAGS (``rvar._quadpack``).
+joint survival function.
+
+The lower orthant is one computation on the copula's conditional cdf
+h(a, v) = dC(a, v)/dv at the pinned level a = F_fixed(x_fixed). The
+lower VaR at level u is the free quantile Q at ``lower_inverse(a, u)``,
+and substituting u = C(a, v) turns its band average into
+
+    lower RVaR = integral of Q(v) h(a, v) dv / (C(a, alpha2) - alpha1)
+
+over v from ``lower_inverse(a, alpha1)`` to
+``min(alpha2, lower_inverse(a, a))``; C(a, 1) = a gives the TVaR. The
+integral is by ``quad``, the package's own port of QUADPACK's QAGS
+(``rvar._quadpack``), at a relative tolerance only: in v up to 1/2 and in
+s = 1 - v above, where Q comes from ``sf_quantile(s)`` and -ln v from
+-log1p(-s), so a heavy tail keeps its mass down to s = 0. No root is
+solved and no tolerance is tied to the data's scale. The upper orthant
+still bisects its VaR in y on the joint survival and integrates it with a
+cut-off tail.
 
 Closed forms = ``band_mean`` on the copula's level map. Where the copula's
 conditional inverse at the pinned level a is affine in the level (Pi, M
@@ -13,9 +28,8 @@ band average on the mapped band: for the lower orthant Pi gives
 [alpha1/a, alpha2], M [alpha1, min(a, alpha2)] and W
 [alpha1 + 1 - a, alpha2]. ``closed_lower_rvar_gev_indep``,
 ``closed_upper_rvar_gev_indep`` and ``closed_lower_rvar_exponential`` are
-that map restricted to the models they name; the root-and-quadrature path
-stays a separate derivation that the tests and the benchmark check them
-against.
+that map restricted to the models they name; the quadrature path stays a
+separate derivation that the tests and the benchmark check them against.
 
 ``comonotonic_aggregate_rvar`` bisects its total quantile in p. No
 measure loads scipy.
@@ -29,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadpack import quad
-from .dependence import BivariateModel, Comonotone, Countermonotone, Gumbel, Independence, sample
+from .dependence import BivariateModel, Comonotone, Countermonotone, Gumbel, Independence
 from .errors import (
     ComonotonicityError,
     DegenerateRangeError,
@@ -53,6 +67,8 @@ _BISECT_TOL = 1e-10
 _MAX_BISECT = 200
 _MAX_EXPAND = 300
 _QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
+# the lower core's tolerance is relative only, so it holds at any data scale
+_CORE_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-12, limit=200)
 # e^-40 ~ 4e-18 of level mass left beyond the tail cutoff
 _TAIL_TMAX = 40.0
 
@@ -165,19 +181,6 @@ def _smallest_true(pred, free, start: float) -> float:
     return _bisect_smallest(pred, lo, hi)
 
 
-def _lower_var_at(b: BivariateModel, fixed_index: int, x_fixed: float, level: float) -> float:
-    fixed_m, free_m = _margins(b, fixed_index)
-
-    def pred(y: float) -> bool:
-        return _joint_cdf(b, fixed_index, x_fixed, y) >= level
-
-    try:
-        start = free_m.quantile(min(max(level, 1e-12), 1.0 - 1e-12))
-    except DomainError:
-        start = free_m.support()[0]
-    return _smallest_true(pred, free_m, start)
-
-
 def _upper_var_surv(b: BivariateModel, fixed_index: int, x_fixed: float, s_threshold: float) -> float:
     """Smallest y with joint survival at (x_fixed, y) at or below s_threshold."""
     fixed_m, free_m = _margins(b, fixed_index)
@@ -197,13 +200,22 @@ def lower_var(b: BivariateModel, alpha: float, x_fixed: float, fixed_index: int 
     _check_x_fixed(x_fixed)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    fixed_m, _ = _margins(b, fixed_index)
+    fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
     if a_fixed < alpha:
         raise InfeasibleLevelError(
             f"joint cdf is capped at {a_fixed:.6g} < alpha={alpha:.6g} for this fixed point"
         )
-    return _lower_var_at(b, fixed_index, x_fixed, alpha)
+    v = b.copula.lower_inverse(a_fixed, alpha)
+    if v < 1.0:
+        return free_m.quantile(v)
+    # alpha = a: the joint cdf reaches it only at the top of the free support
+    top = free_m.support()[1]
+    if math.isinf(top):
+        raise InfeasibleLevelError(
+            f"alpha={alpha:.6g} is reached only as the free coordinate grows without bound"
+        )
+    return top
 
 
 def upper_var(b: BivariateModel, alpha: float, x_fixed: float, fixed_index: int = 1) -> float:
@@ -243,45 +255,47 @@ def _quad(f, a: float, c: float) -> float:
     return quad(f, a, c, **_QUAD_OPTS)[0]
 
 
+def _h_weighted_integral(copula, free_m, a: float, v_lo: float, v_hi: float) -> float:
+    """Integral of Q(v) h(a, v) over [v_lo, v_hi], in s = 1 - v above v = 1/2."""
+    mid = min(max(v_lo, 0.5), v_hi)
+    total = 0.0
+    if v_lo < mid:
+        total += quad(
+            lambda v: free_m.quantile(v) * copula.h(a, v), v_lo, mid, **_CORE_QUAD_OPTS
+        )[0]
+    if mid < v_hi:
+        # 1 - mid is exact for mid >= 1/2, and 1 - v_hi is 0 for a tail band
+        total += quad(
+            lambda s: free_m.sf_quantile(s) * copula.h(a, 1.0 - s, -math.log1p(-s)),
+            1.0 - v_hi,
+            1.0 - mid,
+            **_CORE_QUAD_OPTS,
+        )[0]
+    return total
+
+
 def lower_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1):
-    """Average of the lower orthant VaR over a clipped level band."""
+    """Average of the lower orthant VaR over a clipped level band.
+
+    The integral of Q(v) h(a, v) from lower_inverse(a, alpha1) to
+    min(alpha2, lower_inverse(a, a)), over the attainable band width
+    C(a, alpha2) - alpha1, with a = F_fixed(x_fixed).
+    """
     _check_x_fixed(x_fixed)
     a1, a2 = levels.alpha1, levels.alpha2
     fixed_m, free_m = _margins(b, fixed_index)
+    if a2 >= 1.0 and _free_tail_diverges(b, free_m):
+        return DIVERGES
+    copula = b.copula
     a_fixed = fixed_m.cdf(x_fixed)
-    if a2 >= 1.0:
-        if _free_tail_diverges(b, free_m):
-            return DIVERGES
-        b_top = a_fixed
-    else:
-        b_top = _joint_cdf(b, fixed_index, x_fixed, free_m.quantile(a2))
+    b_top = copula.cdf(a_fixed, a2)  # C(a, 1) = a
     if b_top <= a1 + DEGENERACY_TOL:
         raise DegenerateRangeError(
             f"attainable band top {b_top:.6g} does not exceed alpha1={a1:.6g}"
         )
-
-    def f(u: float) -> float:
-        return _lower_var_at(b, fixed_index, x_fixed, u)
-
-    singular = (
-        a2 >= 1.0
-        and not math.isfinite(free_m.support()[1])
-        and not isinstance(b.copula, Comonotone)
-    )
-    if singular:
-        delta = min(0.5 * (b_top - a1), 1e-3)
-        head = _quad(f, a1, b_top - delta)
-
-        def tail(t: float) -> float:
-            u = b_top - math.exp(-t)
-            if u >= b_top:
-                return 0.0
-            return f(u) * math.exp(-t)
-
-        total = head + _quad(tail, -math.log(delta), _TAIL_TMAX)
-    else:
-        total = _quad(f, a1, b_top)
-    return total / (b_top - a1)
+    inv = copula.lower_inverse
+    v_lo, v_hi = inv(a_fixed, a1), min(a2, inv(a_fixed, a_fixed))
+    return _h_weighted_integral(copula, free_m, a_fixed, v_lo, v_hi) / (b_top - a1)
 
 
 def upper_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1):
@@ -418,7 +432,7 @@ def closed_lower_rvar_exponential(
     return _band_mapped_rvar(b.copula, b, levels, x_fixed, fixed_index, upper=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrthantCurve:
     kind: str
     levels: LevelRange
@@ -488,7 +502,8 @@ def orthant_curve(
     if not hi > lo:
         raise DomainError("empty fixed-coordinate band for this configuration")
     nudge = 1e-8 * (hi - lo)
-    xs = np.linspace(lo + nudge, hi - nudge, grid)
+    # a copy owns its data: linspace returns a view, and the record would keep its base too
+    xs = np.linspace(lo + nudge, hi - nudge, grid).copy()
     values = tuple(measure(b, levels, float(x), fixed_index) for x in xs)
     return OrthantCurve(
         kind=kind,
@@ -499,17 +514,12 @@ def orthant_curve(
     )
 
 
-def _rank_vector(a: np.ndarray) -> np.ndarray:
-    return np.argsort(np.argsort(a, kind="stable"), kind="stable")
-
-
 def comonotonic_aggregate_rvar(
     components,
     levels: LevelRange,
     fixed_total: float,
     fixed_index: int = 1,
     kind: str = "lower",
-    seed: int = 20240817,
     check: bool = True,
 ):
     """Lower (or upper) orthant RVaR of sums of comonotonic components.
@@ -517,26 +527,22 @@ def comonotonic_aggregate_rvar(
     Each component is a bivariate model; coordinate ``fixed_index`` across
     components must be comonotonic, and likewise the free coordinates.
     The aggregate measure at a fixed total decomposes into per-component
-    measures evaluated at matching quantile points.
+    measures evaluated at matching quantile points. ``check`` asks that
+    every component have the same copula, Gumbel(1) counting as Pi: each
+    coordinate is then one increasing map of shared uniforms.
     """
     components = list(components)
     if not components:
         raise DomainError("need at least one component")
     if kind not in ("lower", "upper"):
         raise DomainError(f"kind must be 'lower' or 'upper', got {kind!r}")
-    if check and len(components) > 1:
-        ref1 = ref2 = None
-        for comp in components:
-            sm = sample(comp, 512, seed)
-            r1 = _rank_vector(sm.data[:, 0])
-            r2 = _rank_vector(sm.data[:, 1])
-            if ref1 is None:
-                ref1, ref2 = r1, r2
-            elif not (np.array_equal(r1, ref1) and np.array_equal(r2, ref2)):
-                raise ComonotonicityError(
-                    "component samples are not commonly ranked; aggregation "
-                    "requires comonotonic classes"
-                )
+    if check:
+        copulas = {Independence() if _is_independent(c.copula) else c.copula for c in components}
+        if len(copulas) > 1:
+            raise ComonotonicityError(
+                "components have different copulas; aggregation requires "
+                "comonotonic classes"
+            )
     fixed_margins = [_margins(comp, fixed_index)[0] for comp in components]
 
     def total_quantile(p: float) -> float:

@@ -183,7 +183,7 @@ def sens_lower_tvar(b: BivariateModel, alpha: float, x_fixed: float, z: float, f
     return _lower_tvar(b, alpha, x_fixed, fixed_index)[1](z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensitivityProfile:
     target: str
     z_grid: np.ndarray
@@ -242,7 +242,8 @@ def sensitivity_profile(
         lo = min(breakpoints) - 3.0 * free_m.typical_scale
         hi = max(breakpoints) + 3.0 * free_m.typical_scale
         z_grid = np.linspace(lo, hi, 101)
-    z_grid = np.asarray(z_grid, dtype=float)
+    # a copy owns its data: a linspace view would keep its base alive with the record
+    z_grid = np.array(z_grid, dtype=float)
     values = np.array([evaluate(float(z)) for z in z_grid])
     return SensitivityProfile(
         target=target,

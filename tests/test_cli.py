@@ -415,6 +415,24 @@ def test_curve_near_comonotone_gumbel(capsys, theta):
         assert min(values) >= uni_var(Weibull(2.0, 150.0), 0.95)
 
 
+def test_curve_heavy_tail_lower_tvar_prints_the_closed_form(capsys):
+    # the tail cut-off at level 1 - e^-40 once printed 157.5964896 at
+    # x = 93042.4, where the closed form is 163.2563808
+    g = GEV(0.0, 1.0, 0.9)
+    code, out, err = run_cli(capsys, [
+        "curve", "--margin1", "gev", "mu=0", "sigma=1", "xi=0.9", "--margin2", "gev",
+        "mu=0", "sigma=1", "xi=0.9", "--copula", "independence", "--kind", "lower_tvar",
+        "--alpha1", "0.95", "--alpha2", "1", "--grid", "4"])
+    assert code == 0 and err == ""
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert len(rows) == 4
+    b = rvar.BivariateModel(g, g, Independence())
+    curve = rvar.orthant_curve(b, "lower_tvar", LevelRange(0.95, 1.0), grid=4)
+    for row, x in zip(rows, curve.x_fixed):
+        want = rvar.closed_lower_rvar_gev_indep(b, LevelRange(0.95, 1.0), float(x))
+        assert row[0] == f"{x:.10g}" and row[1] == f"{want:.10g}"
+
+
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import rvar, rvar.cli

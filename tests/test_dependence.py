@@ -94,6 +94,56 @@ def test_level_maps_invert_the_copula(cop):
             assert v - cop.cdf(a, v) == pytest.approx(u - a, rel=1e-14)
 
 
+@pytest.mark.parametrize("theta", [1.0, 1.5, 10.0, 300.0])
+def test_gumbel_lower_inverse_inverts_the_cdf(theta):
+    cop = Gumbel(theta)
+    for a in (0.3, 0.7, 0.95):
+        for u in np.linspace(0.0, a, 9)[1:-1]:
+            assert cop.cdf(a, cop.lower_inverse(a, u)) == pytest.approx(u, rel=1e-14)
+        assert cop.lower_inverse(a, 0.0) == 0.0 and cop.lower_inverse(a, a) == 1.0
+
+
+# (theta, a, v, s, dC(a, v)/dv) with v = 1 - s where s is given, from
+# 40-digit mpmath at the binary arguments; near v = 1 the caller passes
+# -ln v = -log1p(-s), which v = 1 - s has lost. The rounding of
+# -ln v / S^(1/theta) is raised to theta - 1, and exp(-ln v - S^(1/theta))
+# differences two logs of ~460 at v = 1e-200: both keep only ~1e-14.
+GUMBEL_H_PINS = [
+    (1.5, 0.3, 0.2, None, 0.44866262407673588181),
+    (1.5, 0.95, 0.5, None, 0.98421118649122176154),
+    (1.5, 1e-10, 1e-200, None, 0.032392356253944263585),
+    (1.5, 0.95, None, 1e-20, 4.1946266205667055763e-10),
+    (2.0, 0.95, None, 1e-3, 0.018545046364692346363),
+    (2.0, 0.999, None, 1e-9, 9.9850041820559916966e-7),
+    (10.0, 0.3, 0.2, None, 0.944870503214517737),
+    (10.0, 0.9, 0.95, None, 0.0014543456178609184577),
+    (300.0, 0.95, 0.949, None, 0.99776342192038290633),
+    (300.0, 0.95, 0.951, None, 0.0020302368705066459659),
+    (300.0, 0.5, 0.5, None, 0.50035368953371664328),
+    (500.0, 0.95, 0.9499, None, 0.73639170411902158692),
+    (500.0, 0.95, 0.9501, None, 0.26431623182201672183),
+]
+
+
+@pytest.mark.parametrize("theta,a,v,s,want", GUMBEL_H_PINS)
+def test_gumbel_h_matches_40_digit_pins(theta, a, v, s, want):
+    cop = Gumbel(theta)
+    got = cop.h(a, v) if s is None else cop.h(a, 1.0 - s, -math.log1p(-s))
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("cop", [Independence(), Comonotone(), Countermonotone(), Gumbel(1.0)])
+def test_h_is_the_v_derivative_of_the_cdf(cop):
+    # piecewise linear in v for Pi, M and W: a one-sided difference is exact
+    # up to rounding away from the kink at v = a (M) or v = 1 - a (W)
+    for a in (0.3, 0.7):
+        for v in (0.1, 0.5, 0.9):
+            dv = 1e-6
+            slope = (cop.cdf(a, v + dv) - cop.cdf(a, v)) / dv
+            assert cop.h(a, v) == pytest.approx(slope, rel=1e-7, abs=1e-12)
+    assert Gumbel(2.0).h(0.0, 0.5) == 0.0 and Gumbel(2.0).h(1.0, 0.5) == 1.0
+
+
 def test_bivariate_model_joint_cdf_and_survival():
     b = BivariateModel(Weibull(2.0, 50.0), Weibull(2.0, 150.0), Gumbel(1.5))
     x, y = 60.0, 200.0

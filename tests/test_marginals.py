@@ -288,6 +288,21 @@ def test_gev_mean_past_the_double_range():
             GEV(0.0, 1.0, xi).mean()
 
 
+def test_gev_mean_scaled_past_the_double_range():
+    # Gamma(101) ~ 9.3e157 is finite; sigma 1e300 times it once gave -inf
+    with pytest.raises(DomainError):
+        GEV(0.0, 1e300, -100.0).mean()
+    assert GEV(0.0, 1e100, -100.0).mean() == pytest.approx(
+        1e100 * (gamma_fn(101.0) - 1.0) / -100.0, rel=1e-13)
+
+
+def test_weibull_mean_scaled_past_the_double_range():
+    # Gamma(101) ~ 9.3e157 is finite; scale 1e300 times it once gave inf
+    with pytest.raises(DomainError):
+        Weibull(0.01, 1e300).mean()
+    assert Weibull(0.01, 1e100).mean() == pytest.approx(1e100 * gamma_fn(101.0), rel=1e-13)
+
+
 def test_out_of_range_band_means_are_domain_errors():
     # mpmath: -7.944e324 for this GEV band and 9.47e358 for the Weibull one,
     # beyond the largest double; exp() of their logarithms overflowed

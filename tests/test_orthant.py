@@ -21,6 +21,7 @@ from rvar import (
     Independence,
     InfeasibleLevelError,
     LevelRange,
+    Uniform,
     Weibull,
     closed_lower_rvar_exponential,
     closed_lower_rvar_gev_indep,
@@ -77,6 +78,23 @@ def test_var_feasibility_errors():
         lower_var(b, 1.0, 150.0)
 
 
+def test_lower_var_at_the_fixed_level_and_below_tail_coverage():
+    # alpha = a maps to free level 1: the top of a bounded free support,
+    # out of reach of an unbounded one
+    pi = Independence()
+    x = 0.7
+    a = Uniform(0.0, 1.0).cdf(x)
+    assert lower_var(BivariateModel(Uniform(0.0, 1.0), Uniform(2.0, 5.0), pi), a, x) == 5.0
+    with pytest.raises(InfeasibleLevelError):
+        lower_var(BivariateModel(Uniform(0.0, 1.0), Exponential(1.0), pi), a, x)
+    # a GPD tail model has no quantile below level 1 - zeta_u
+    gpd = BivariateModel(GEV(0.0, 1.0, 0.2), GPDTail(5.0, 2.0, 0.3, 0.1), pi)
+    with pytest.raises(DomainError):
+        lower_var(gpd, 0.5, 8.0)
+    assert lower_var(gpd, 0.95, 8.0) == pytest.approx(
+        gpd.margin2.quantile(0.95 / gpd.margin1.cdf(8.0)), rel=1e-15)
+
+
 def test_fixed_index_symmetry():
     b = WEIB_GUMBEL
     swapped = BivariateModel(b.margin2, b.margin1, b.copula)
@@ -87,6 +105,15 @@ def test_fixed_index_symmetry():
         lower_rvar(swapped, lr, 150.0, fixed_index=2), rel=1e-10)
     with pytest.raises(DomainError):
         lower_var(b, 0.99, 120.0, fixed_index=3)
+    # one computation on (fixed margin, free margin): the same floats
+    for cop in (Independence(), Comonotone(), Countermonotone(), Gumbel(2.0)):
+        b = BivariateModel(GEV(0.0, 1.0, 0.9), Weibull(2.0, 150.0), cop)
+        swapped = BivariateModel(b.margin2, b.margin1, cop)
+        for p in (0.97, 0.999):
+            x = b.margin1.quantile(p)
+            assert lower_var(b, 0.95, x, 1) == lower_var(swapped, 0.95, x, 2)
+            assert lower_rvar(b, lr, x, 1) == lower_rvar(swapped, lr, x, 2)
+            assert lower_tvar(b, 0.95, x, 1) == lower_tvar(swapped, 0.95, x, 2)
 
 
 @pytest.mark.parametrize("b,cop,x,lo,hi", [
@@ -111,6 +138,79 @@ def test_upper_rvar_matches_quadrature_oracle(b, cop, x, lo, hi):
     want = orc.orthant_upper_rvar(cop, b.margin1.cdf(x), b.margin2.cdf,
                                   lr.alpha1, lr.alpha2, b.margin2.quantile, lo, hi)
     assert upper_rvar(b, lr, x) == pytest.approx(want, rel=1e-7)
+
+
+# the lower core against root-plus-quadrature oracles, where those are not
+# truncated: bands below level 1, or tails light enough (xi <= 0.3) that
+# the oracle's root bracket holds every quadrature node
+ORACLE_COPULAS = [
+    (Independence(), orc.pi_cdf),
+    (Comonotone(), orc.m_cdf),
+    (Countermonotone(), orc.w_cdf),
+    (Gumbel(1.5), _gumbel15),
+    (Gumbel(3.0), lambda u, v: orc.gumbel_cdf(u, v, 3.0)),
+]
+ORACLE_MARGINS = [
+    (Weibull(2.0, 50.0), Weibull(2.0, 150.0), 0.0, 1e4),
+    (GEV(0.0, 1.0, 0.2), GEV(1.0, 0.5, 0.3), -1.0, 1e6),
+]
+
+
+@pytest.mark.parametrize("cop,cdf", ORACLE_COPULAS)
+@pytest.mark.parametrize("m1,m2,lo,hi", ORACLE_MARGINS)
+def test_lower_core_matches_root_quadrature_oracles(cop, cdf, m1, m2, lo, hi):
+    b = BivariateModel(m1, m2, cop)
+    for p in (0.97, 0.995, 0.9999):
+        x = m1.quantile(p)
+        a = m1.cdf(x)
+        for a1, a2 in ((0.5, 0.9), (0.9, 0.99), (0.95, 1.0)):
+            lr = LevelRange(a1, a2)
+            want = orc.orthant_lower_rvar(cdf, a, m2.cdf, a1, a2, m2.quantile, lo, hi)
+            assert lower_rvar(b, lr, x) == pytest.approx(want, rel=1e-9)
+        for alpha in (0.5, 0.9, 0.95):
+            want = orc.root_lower_var(cdf, a, m2.cdf, alpha, lo, hi)
+            assert lower_var(b, alpha, x) == pytest.approx(want, rel=1e-12, abs=1e-10)
+
+
+@pytest.mark.parametrize("xi", [0.5, 0.7, 0.9, 0.95, 0.99])
+def test_lower_tvar_heavy_tail_matches_closed_form_under_pi(xi):
+    # the tail cut-off at level 1 - e^-40 once lost 4e-2 of the value at
+    # xi = 0.9 and 7e-1 at xi = 0.99
+    g = GEV(0.0, 1.0, xi)
+    b = BivariateModel(g, g, Independence())
+    for p in (0.96, 0.99, 0.999, 0.99999):
+        x = g.quantile(p)
+        want = closed_lower_rvar_gev_indep(b, LevelRange(0.95, 1.0), x)
+        assert lower_tvar(b, 0.95, x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("x,want", [
+    (80.0, 40.439605380965932),
+    (200.0, 49.04356049515888),
+    (1000.0, 65.806488755368139),
+])
+def test_lower_tvar_gumbel_heavy_tail_pins(x, want):
+    # GEV(0, 1, 0.9) margins under Gumbel(2) at alpha 0.95: untruncated
+    # high-precision integrals at a = GEV(0, 1, 0.9).cdf(x) in double
+    g = GEV(0.0, 1.0, 0.9)
+    b = BivariateModel(g, g, Gumbel(2.0))
+    assert lower_tvar(b, 0.95, x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", range(-12, 13))
+def test_lower_measures_are_scale_equivariant(k):
+    # the README model with both scales and the pinned value times c; the
+    # value divided by c once moved by 26 % at c = 1e-12
+    c = 10.0**k
+    base = BivariateModel(Weibull(2.0, 50.0), Weibull(2.0, 150.0), Gumbel(1.5))
+    scaled = BivariateModel(Weibull(2.0, 50.0 * c), Weibull(2.0, 150.0 * c), Gumbel(1.5))
+    lr = LevelRange(0.9, 0.99)
+    assert lower_var(scaled, 0.95, 100.0 * c) / c == pytest.approx(
+        lower_var(base, 0.95, 100.0), rel=1e-13)
+    assert lower_rvar(scaled, lr, 100.0 * c) / c == pytest.approx(
+        lower_rvar(base, lr, 100.0), rel=1e-13)
+    assert lower_tvar(scaled, 0.95, 100.0 * c) / c == pytest.approx(
+        lower_tvar(base, 0.95, 100.0), rel=1e-12)
 
 
 def test_degenerate_bands_raise():
@@ -363,6 +463,17 @@ def test_aggregate_two_exponentials():
     x2 = -math.log1p(-p_star) / 2.0
     part = lower_rvar(b1, lr, x1) + lower_rvar(b2, lr, x2)
     assert got == pytest.approx(part, rel=1e-9)
+
+
+def test_aggregate_counts_gumbel_one_as_independence():
+    b1 = BivariateModel(Exponential(1.0), Exponential(2.0), Independence())
+    b2 = BivariateModel(Exponential(2.0), Exponential(1.0), Gumbel(1.0))
+    lr = LevelRange(0.9, 0.99)
+    got = comonotonic_aggregate_rvar([b1, b2], lr, 6.0)
+    assert np.isfinite(got)
+    with pytest.raises(ComonotonicityError):
+        b3 = BivariateModel(b2.margin1, b2.margin2, Gumbel(1.5))
+        comonotonic_aggregate_rvar([b1, b3], lr, 6.0)
 
 
 def test_aggregate_rejects_non_comonotone_and_bad_totals():
