@@ -465,15 +465,22 @@ def test_aggregate_two_exponentials():
     assert got == pytest.approx(part, rel=1e-9)
 
 
-def test_aggregate_counts_gumbel_one_as_independence():
+def test_aggregate_check_compares_copulas():
+    # the check asks for one copula, Gumbel(1) counting as Pi; it draws no
+    # sample, so GPD-tail margins (no quantile below 1 - zeta_u) pass it
+    lr = LevelRange(0.9, 0.99)
     b1 = BivariateModel(Exponential(1.0), Exponential(2.0), Independence())
     b2 = BivariateModel(Exponential(2.0), Exponential(1.0), Gumbel(1.0))
-    lr = LevelRange(0.9, 0.99)
-    got = comonotonic_aggregate_rvar([b1, b2], lr, 6.0)
-    assert np.isfinite(got)
+    assert comonotonic_aggregate_rvar([b1, b2], lr, 6.0) == comonotonic_aggregate_rvar(
+        [b1, b2], lr, 6.0, check=False)
+    b3 = BivariateModel(b2.margin1, b2.margin2, Gumbel(1.5))
     with pytest.raises(ComonotonicityError):
-        b3 = BivariateModel(b2.margin1, b2.margin2, Gumbel(1.5))
         comonotonic_aggregate_rvar([b1, b3], lr, 6.0)
+    lr = LevelRange(0.92, 0.99)
+    g1 = BivariateModel(Exponential(1.0), GPDTail(5.0, 2.0, 0.3, 0.1), Comonotone())
+    g2 = BivariateModel(Exponential(2.0), GPDTail(3.0, 1.0, 0.2, 0.1), Comonotone())
+    assert comonotonic_aggregate_rvar([g1, g2], lr, 6.0) == comonotonic_aggregate_rvar(
+        [g1, g2], lr, 6.0, check=False)
 
 
 def test_aggregate_rejects_non_comonotone_and_bad_totals():
