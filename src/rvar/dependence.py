@@ -33,7 +33,7 @@ class Independence:
     def cdf(self, u: float, v: float) -> float:
         return u * v
 
-    def h(self, a: float, v: float, neg_log_v: float | None = None) -> float:
+    def h(self, a: float, v: float, neg_log_v: float) -> float:
         return a
 
     def lower_inverse(self, a: float, u: float) -> float:
@@ -51,7 +51,7 @@ class Comonotone:
     def cdf(self, u: float, v: float) -> float:
         return min(u, v)
 
-    def h(self, a: float, v: float, neg_log_v: float | None = None) -> float:
+    def h(self, a: float, v: float, neg_log_v: float) -> float:
         return 1.0 if v <= a else 0.0
 
     def lower_inverse(self, a: float, u: float) -> float:
@@ -70,10 +70,12 @@ class Countermonotone:
     def cdf(self, u: float, v: float) -> float:
         return max(u + v - 1.0, 0.0)
 
-    def h(self, a: float, v: float, neg_log_v: float | None = None) -> float:
+    def h(self, a: float, v: float, neg_log_v: float) -> float:
         return 1.0 if v >= 1.0 - a else 0.0
 
     def lower_inverse(self, a: float, u: float) -> float:
+        if u >= a:
+            return 1.0  # C(a, v) reaches a only at v = 1, exactly
         # 1 - a is exact for a >= 1/2, so the sum rounds once
         return u + (1.0 - a)
 
@@ -109,18 +111,18 @@ class Gumbel:
         # the exp(ln u) round trip can land a few ulps above the bound min(u, v)
         return val if val < u else u
 
-    def h(self, a: float, v: float, neg_log_v: float | None = None) -> float:
+    def h(self, a: float, v: float, neg_log_v: float) -> float:
         """dC(a, v)/dv = C(a, v) / v * (-ln v / S^(1/theta))^(theta - 1), for 0 < v <= 1.
 
-        S = (-ln a)^theta + (-ln v)^theta. ``neg_log_v`` is -ln v where the
-        caller holds it more precisely than v does (-log1p(-s) at v = 1 - s).
+        S = (-ln a)^theta + (-ln v)^theta, and ``neg_log_v`` is -ln v, which
+        the caller holds more precisely than v does near v = 1 (-log1p(-s) at
+        v = 1 - s).
         """
         if a == 0.0:
             return 0.0
         if a == 1.0:
             return 1.0
-        lv = -math.log(v) if neg_log_v is None else neg_log_v
-        la = -math.log(a)
+        la, lv = -math.log(a), neg_log_v
         lo, hi = (la, lv) if la < lv else (lv, la)
         # S^(1/theta) with the larger log factored out, as in cdf
         root = hi * (1.0 + (lo / hi) ** self.theta) ** (1.0 / self.theta)

@@ -30,7 +30,7 @@ from .errors import (
     InfeasibleLevelError,
 )
 from .marginals import LevelRange
-from .orthant import _band_mapped_rvar, lower_rvar
+from .orthant import _band_mapped_rvar, _has_affine_level_map, lower_rvar
 
 _INDEX_FUZZ = 1e-9
 _CHUNK_CELLS = 1 << 14  # rows or cells per block of transient per-row work
@@ -428,8 +428,7 @@ def consistency_experiment(
         raise DomainError("the experiment needs alpha2 below 1")
     grid = np.asarray(grid, dtype=float)
     free_index = 2 if fixed_index == 1 else 1
-    # a copula with a level map has the model value in closed form
-    closed = hasattr(b.copula, "lower_inverse")
+    closed = _has_affine_level_map(b.copula)  # the model value in closed form
     theo = np.full(grid.size, np.nan)
     failure_types: dict = {}
 

@@ -261,7 +261,10 @@ def _h_weighted_integral(copula, free_m, a: float, v_lo: float, v_hi: float) -> 
     total = 0.0
     if v_lo < mid:
         total += quad(
-            lambda v: free_m.quantile(v) * copula.h(a, v), v_lo, mid, **_CORE_QUAD_OPTS
+            lambda v: free_m.quantile(v) * copula.h(a, v, -math.log(v)),
+            v_lo,
+            mid,
+            **_CORE_QUAD_OPTS,
         )[0]
     if mid < v_hi:
         # 1 - mid is exact for mid >= 1/2, and 1 - v_hi is 0 for a tail band
@@ -345,6 +348,11 @@ def upper_tvar(b: BivariateModel, alpha: float, x_fixed: float, fixed_index: int
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return upper_rvar(b, LevelRange(alpha, 1.0), x_fixed, fixed_index)
+
+
+def _has_affine_level_map(copula) -> bool:
+    """Pi, M and W: h(a, .) is constant on the mapped band, so _band_mapped_rvar is exact."""
+    return isinstance(copula, (Independence, Comonotone, Countermonotone))
 
 
 def _band_mapped_rvar(

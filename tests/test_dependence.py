@@ -128,7 +128,7 @@ GUMBEL_H_PINS = [
 @pytest.mark.parametrize("theta,a,v,s,want", GUMBEL_H_PINS)
 def test_gumbel_h_matches_40_digit_pins(theta, a, v, s, want):
     cop = Gumbel(theta)
-    got = cop.h(a, v) if s is None else cop.h(a, 1.0 - s, -math.log1p(-s))
+    got = cop.h(a, v, -math.log(v)) if s is None else cop.h(a, 1.0 - s, -math.log1p(-s))
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -140,8 +140,17 @@ def test_h_is_the_v_derivative_of_the_cdf(cop):
         for v in (0.1, 0.5, 0.9):
             dv = 1e-6
             slope = (cop.cdf(a, v + dv) - cop.cdf(a, v)) / dv
-            assert cop.h(a, v) == pytest.approx(slope, rel=1e-7, abs=1e-12)
-    assert Gumbel(2.0).h(0.0, 0.5) == 0.0 and Gumbel(2.0).h(1.0, 0.5) == 1.0
+            assert cop.h(a, v, -math.log(v)) == pytest.approx(slope, rel=1e-7, abs=1e-12)
+    ln2 = math.log(2.0)
+    assert Gumbel(2.0).h(0.0, 0.5, ln2) == 0.0 and Gumbel(2.0).h(1.0, 0.5, ln2) == 1.0
+
+
+@pytest.mark.parametrize("cop", [Independence(), Countermonotone(), Gumbel(2.0)])
+def test_lower_inverse_reaches_exactly_one_at_the_fixed_level(cop):
+    # C(a, v) = a only at v = 1: a TVaR band must end there, not an ulp short
+    for a in np.linspace(0.01, 0.99, 99):
+        assert cop.lower_inverse(float(a), float(a)) == 1.0
+    assert Comonotone().lower_inverse(0.3, 0.3) == 0.3  # min(a, v) = a from v = a on
 
 
 def test_bivariate_model_joint_cdf_and_survival():

@@ -34,6 +34,7 @@ from rvar import (
     emp_upper_rvar_curve,
     emp_upper_var,
     esurv,
+    lower_rvar,
     lower_var,
     marginal_quantile,
     sample,
@@ -190,6 +191,22 @@ def test_consistency_experiment_report():
     np.testing.assert_array_equal(rep.mean_dev, rep2.mean_dev)
     # absolute deviations dominate signed ones pointwise
     assert np.all(rep.mean_abs_dev >= np.abs(rep.mean_dev) - 1e-15)
+
+
+def test_consistency_experiment_gumbel_model_value_is_lower_rvar():
+    # Gumbel's h(a, .) varies over the band: the plain band mean of Q is not its RVaR
+    gev = GEV(0.0, 1.0, 0.2)
+    b = BivariateModel(gev, gev, Gumbel(1.5))
+    lr = LevelRange(0.9, 0.99)
+    grid = np.linspace(4.0, 10.0, 4)
+    rep = consistency_experiment(b, reps=2, n=400, cfg=EstimatorConfig(20, lr), grid=grid, seed=3)
+    want = [lower_rvar(b, lr, float(x)) for x in grid]
+    np.testing.assert_array_equal(rep.theoretical, want)
+    F, Q = gev.cdf, lambda p: orc.gev_quantile(0.0, 1.0, 0.2, p)
+    cop = lambda u, v: orc.gumbel_cdf(u, v, 1.5)
+    for x, got in zip(grid, rep.theoretical):
+        ref = orc.orthant_lower_rvar(cop, F(float(x)), F, 0.9, 0.99, Q, -5.0, 1e6)
+        assert got == pytest.approx(ref, rel=1e-7)
 
 
 def test_consistency_experiment_counts_failures():
