@@ -3,9 +3,9 @@
 Copulas: Independence (u v), Comonotone (min), Countermonotone
 (max(u+v-1, 0), a valid cdf for d = 2 only), and Gumbel with parameter
 theta >= 1 (theta = 1 is independence). Each carries its ``cdf(u, v)``,
-its conditional cdf ``h(a, v)`` = dC(a, v)/dv, its lower level map
-``lower_inverse(a, u)``, the v that solves C(a, v) = u for u <= a, and
-its sampler of uniforms, ``uniforms(rng, n)``. Every copula here is
+its conditional cdf ``h(a, v, neg_log_v)`` = dC(a, v)/dv given -ln v as
+well as v, its lower level map ``lower_inverse(a, u)``, the v that solves
+C(a, v) = u for u <= a, and its sampler of uniforms, ``uniforms(rng, n)``. Every copula here is
 exchangeable, so a fixed first or second coordinate reads the same maps.
 Pi, M and W also carry ``upper_inverse(a, u)``, which solves
 v - C(a, v) = u - a (the joint survival reaching 1 - u); their two level
