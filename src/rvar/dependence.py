@@ -116,12 +116,12 @@ class Gumbel:
 
         S = (-ln a)^theta + (-ln v)^theta, and ``neg_log_v`` is -ln v, which
         the caller holds more precisely than v does near v = 1 (-log1p(-s) at
-        v = 1 - s).
+        v = 1 - s). At v = 0 it is the limit from above: 1, or a at theta = 1.
         """
         if a == 0.0:
             return 0.0
-        if a == 1.0:
-            return 1.0
+        if a == 1.0 or v == 0.0:
+            return a if self.theta == 1.0 else 1.0
         la, lv = -math.log(a), neg_log_v
         lo, hi = (la, lv) if la < lv else (lv, la)
         # S^(1/theta) with the larger log factored out, as in cdf

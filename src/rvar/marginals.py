@@ -108,6 +108,17 @@ def _require_finite(model) -> None:
             raise DomainError(f"{type(model).__name__} {f.name} must be finite, got {value}")
 
 
+def _log_gp(t: float, xi: float) -> float:
+    """ln (1 + xi t)^(-1/xi), -t at xi = 0, the GEV and GPD log tail: off the
+    support +inf below a lower endpoint (xi > 0), -inf above an upper one."""
+    if abs(xi) < XI_ZERO_TOL:
+        return -t
+    w = 1.0 + xi * t
+    if w <= 0.0:
+        return math.inf if xi > 0 else -math.inf
+    return -math.log(w) / xi
+
+
 def _check_prob_open(p: float, name: str = "p"):
     if not (0.0 < p < 1.0):
         raise DomainError(f"{name} must lie in (0, 1), got {p}")
@@ -131,6 +142,7 @@ class GEV:
             raise DomainError(f"GEV sigma must be > 0, got {self.sigma}")
 
     def cdf(self, x: float) -> float:
+        # _log_gp inlined: the upper orthant's y-space roots call this ~3000 times per RVaR
         t = (x - self.mu) / self.sigma
         if abs(self.xi) < XI_ZERO_TOL:
             logv = -t
@@ -142,6 +154,13 @@ class GEV:
         if logv > 36.0:  # exp(-e^36) underflows to 0 before e^logv overflows
             return 0.0
         return math.exp(-math.exp(logv))
+
+    def pdf(self, x: float) -> float:
+        """tau^(1 + xi) e^(-tau) / sigma at tau = -ln F(x); 0 off the support."""
+        log_tau = _log_gp((x - self.mu) / self.sigma, self.xi)
+        if not -math.inf < log_tau <= 36.0:
+            return 0.0
+        return math.exp((1.0 + self.xi) * log_tau - math.exp(log_tau)) / self.sigma
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
@@ -249,17 +268,20 @@ class GPDTail:
             )
 
     def cdf(self, x: float) -> float:
+        return 1.0 - self.zeta_u * math.exp(self._log_tail(x))
+
+    def pdf(self, x: float) -> float:
+        """zeta_u (1 + xi t)^(-1/xi - 1) / sigma at t = (x - u) / sigma; below u it raises."""
+        log_tail = self._log_tail(x)
+        if log_tail == -math.inf:  # beyond the finite endpoint (xi < 0)
+            return 0.0
+        return self.zeta_u * math.exp((1.0 + self.xi) * log_tail) / self.sigma
+
+    def _log_tail(self, x: float) -> float:
+        """ln P(X > x) / zeta_u; DomainError below the threshold."""
         if x < self.u:
-            raise DomainError(
-                f"GPDTail cdf defined only for x >= u = {self.u}, got {x}"
-            )
-        t = (x - self.u) / self.sigma
-        if abs(self.xi) < XI_ZERO_TOL:
-            return 1.0 - self.zeta_u * math.exp(-t)
-        w = 1.0 + self.xi * t
-        if w <= 0.0:  # beyond the finite endpoint (xi < 0)
-            return 1.0
-        return 1.0 - self.zeta_u * math.exp(-math.log(w) / self.xi)
+            raise DomainError(f"GPDTail is defined only for x >= u = {self.u}, got {x}")
+        return _log_gp((x - self.u) / self.sigma, self.xi)
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
@@ -351,6 +373,16 @@ class Weibull:
             return 1.0
         return -math.expm1(-z)
 
+    def pdf(self, x: float) -> float:
+        """shape z e^(-z) / x at the cdf's z = (x / scale)^shape; 0 for x <= 0."""
+        if x <= 0:
+            return 0.0
+        try:
+            z = (x / self.scale) ** self.shape
+        except OverflowError:  # and e^-z underflows
+            return 0.0
+        return self.shape * z * math.exp(-z) / x
+
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
         return self._from_neg_log_sf(-math.log1p(-p))
@@ -419,6 +451,9 @@ class Exponential:
             return 0.0
         return -math.expm1(-self.lam * x)
 
+    def pdf(self, x: float) -> float:
+        return self.lam * math.exp(-self.lam * x) if x >= 0 else 0.0
+
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
         return -math.log1p(-p) / self.lam
@@ -474,6 +509,9 @@ class Uniform:
         if x >= self.hi:
             return 1.0
         return (x - self.lo) / (self.hi - self.lo)
+
+    def pdf(self, x: float) -> float:
+        return 1.0 / (self.hi - self.lo) if self.lo <= x <= self.hi else 0.0
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)

@@ -87,16 +87,26 @@ def _check_x_fixed(x_fixed: float) -> None:
         raise DomainError(f"x_fixed must be finite, got {x_fixed}")
 
 
-def _joint_cdf(b: BivariateModel, fixed_index: int, x: float, y: float) -> float:
-    if fixed_index == 1:
-        return b.joint_cdf(x, y)
-    return b.joint_cdf(y, x)
-
-
 def _joint_survival(b: BivariateModel, fixed_index: int, x: float, y: float) -> float:
     if fixed_index == 1:
         return b.joint_survival(x, y)
     return b.joint_survival(y, x)
+
+
+def _band_edge(copula, a: float, levels: LevelRange, upper: bool) -> float:
+    """The attainable band end at a = F_fixed(x_fixed): b_top = C(a, alpha2) on the
+    lower orthant (C(a, 1) = a), c_bot = a + alpha1 - C(a, alpha1) on the upper;
+    DegenerateRangeError where the band closes to within DEGENERACY_TOL."""
+    a1, a2 = levels.alpha1, levels.alpha2
+    if upper:
+        c_bot = a + a1 - copula.cdf(a, a1)
+        if c_bot >= a2 - DEGENERACY_TOL:
+            raise DegenerateRangeError(f"attainable band bottom {c_bot:.6g} reaches alpha2={a2:.6g}")
+        return c_bot
+    b_top = copula.cdf(a, a2)
+    if b_top <= a1 + DEGENERACY_TOL:
+        raise DegenerateRangeError(f"attainable band top {b_top:.6g} does not exceed alpha1={a1:.6g}")
+    return b_top
 
 
 def _bisect_smallest(pred, lo: float, hi: float) -> float:
@@ -291,11 +301,7 @@ def lower_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_inde
         return DIVERGES
     copula = b.copula
     a_fixed = fixed_m.cdf(x_fixed)
-    b_top = copula.cdf(a_fixed, a2)  # C(a, 1) = a
-    if b_top <= a1 + DEGENERACY_TOL:
-        raise DegenerateRangeError(
-            f"attainable band top {b_top:.6g} does not exceed alpha1={a1:.6g}"
-        )
+    b_top = _band_edge(copula, a_fixed, levels, upper=False)
     inv = copula.lower_inverse
     v_lo, v_hi = inv(a_fixed, a1), min(a2, inv(a_fixed, a_fixed))
     return _h_weighted_integral(copula, free_m, a_fixed, v_lo, v_hi) / (b_top - a1)
@@ -304,19 +310,12 @@ def lower_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_inde
 def upper_rvar(b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1):
     """Average of the upper orthant VaR over a clipped level band."""
     _check_x_fixed(x_fixed)
-    a1, a2 = levels.alpha1, levels.alpha2
+    a2 = levels.alpha2
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
     if a2 >= 1.0 and _free_tail_diverges(b, free_m):
         return DIVERGES
-    if a1 <= 0.0:
-        c_bot = a_fixed
-    else:
-        c_bot = 1.0 - _joint_survival(b, fixed_index, x_fixed, free_m.quantile(a1))
-    if c_bot >= a2 - DEGENERACY_TOL:
-        raise DegenerateRangeError(
-            f"attainable band bottom {c_bot:.6g} reaches alpha2={a2:.6g}"
-        )
+    c_bot = _band_edge(b.copula, a_fixed, levels, upper=True)
 
     def g(v: float) -> float:
         return _upper_var_surv(b, fixed_index, x_fixed, 1.0 - v)
@@ -373,19 +372,10 @@ def _band_mapped_rvar(
     fixed_m, free_m = _margins(b, fixed_index)
     a1, a2 = levels.alpha1, levels.alpha2
     a = fixed_m.cdf(x_fixed)
+    _band_edge(copula, a, levels, upper)
     if upper:
-        c_bot = a + a1 - copula.cdf(a, a1)
-        if c_bot >= a2 - DEGENERACY_TOL:
-            raise DegenerateRangeError(
-                f"attainable band bottom {c_bot:.6g} reaches alpha2={a2:.6g}"
-            )
         inv = copula.upper_inverse
         return free_m.band_mean(max(a1, inv(a, a)), inv(a, a2))
-    b_top = copula.cdf(a, a2)
-    if b_top <= a1 + DEGENERACY_TOL:
-        raise DegenerateRangeError(
-            f"attainable band top {b_top:.6g} does not exceed alpha1={a1:.6g}"
-        )
     inv = copula.lower_inverse
     return free_m.band_mean(inv(a, a1), min(a2, inv(a, a)))
 

@@ -7,6 +7,13 @@ responses; the TVaR target grows linearly in z and is unbounded.  One
 function per target builds the breakpoints and the response at a fixed
 point; the ``sens_*`` functions and ``sensitivity_profile`` share them
 through the ``_TARGETS`` table.
+
+Every response is read in level space at a = F_fixed(x_fixed).  A VaR
+response divides by the exact conditional density times the orthant's
+mass, h(a, v) f(lv) at v = lower_inverse(a, alpha) or (1 - h(a, v)) f(uv)
+at v = F(uv), from the copula's ``h`` and the free margin's ``pdf``, and
+raises ``ZeroDensityError`` only where that is exactly 0.  The RVaR
+responses share the measures' band edges, ``orthant._band_edge``.
 """
 
 from __future__ import annotations
@@ -19,38 +26,17 @@ import numpy as np
 from .dependence import BivariateModel
 from .errors import DomainError, ZeroDensityError
 from .marginals import LevelRange, is_divergent
-from .orthant import _check_x_fixed, _joint_cdf, _margins, lower_rvar, lower_tvar, lower_var, upper_rvar, upper_var
-
-_DENSITY_H_REL = 1e-6
-_DENSITY_FLOOR = 1e-12
+from .orthant import _band_edge, _check_x_fixed, _margins, lower_rvar, lower_tvar, lower_var, upper_rvar, upper_var
 
 
-def _cond_lower_cdf(b, fixed_index, x_fixed, y, a_fixed):
-    return _joint_cdf(b, fixed_index, x_fixed, y) / a_fixed
+def _var_response(bp, weight, left, right):
+    """left / weight below the breakpoint, right / weight above, 0 at it.
 
-
-def _cond_upper_cdf(b, fixed_index, x_fixed, y, a_fixed):
-    _, free_m = _margins(b, fixed_index)
-    joint = _joint_cdf(b, fixed_index, x_fixed, y)
-    return (free_m.cdf(y) - joint) / (1.0 - a_fixed)
-
-
-def _central_density(cdf1, y, scale, lo_support):
-    h = _DENSITY_H_REL * scale
-    lo = y - h
-    if lo < lo_support:
-        dens = (cdf1(y + h) - cdf1(y)) / h
-    else:
-        dens = (cdf1(y + h) - cdf1(lo)) / (2.0 * h)
-    if dens < _DENSITY_FLOOR:
-        raise ZeroDensityError(
-            f"conditional density ~{dens:.3g} at y={y:.6g} is numerically zero"
-        )
-    return dens
-
-
-def _step(bp, left, right):
-    """A response that is left below the breakpoint, right above it, 0 at it."""
+    The weight is the conditional density at bp times the orthant's mass.
+    """
+    if weight == 0.0:
+        raise ZeroDensityError(f"conditional density at y={bp:.6g} is 0")
+    left, right = left / weight, right / weight
     return lambda z: left if z < bp else (right if z > bp else 0.0)
 
 
@@ -58,28 +44,18 @@ def _lower_var(b, alpha, x_fixed, fixed_index):
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
     lv = lower_var(b, alpha, x_fixed, fixed_index)
-    dens = _central_density(
-        lambda y: _cond_lower_cdf(b, fixed_index, x_fixed, y, a_fixed),
-        lv,
-        free_m.typical_scale,
-        free_m.support()[0],
-    )
-    weight = dens * a_fixed
-    return (lv,), _step(lv, -(a_fixed - alpha) / weight, alpha / weight)
+    v = b.copula.lower_inverse(a_fixed, alpha)
+    weight = b.copula.h(a_fixed, v, -math.log(v)) * free_m.pdf(lv)
+    return (lv,), _var_response(lv, weight, -(a_fixed - alpha), alpha)
 
 
 def _upper_var(b, alpha, x_fixed, fixed_index):
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
     uv = upper_var(b, alpha, x_fixed, fixed_index)
-    dens = _central_density(
-        lambda y: _cond_upper_cdf(b, fixed_index, x_fixed, y, a_fixed),
-        uv,
-        free_m.typical_scale,
-        free_m.support()[0],
-    )
-    weight = dens * (1.0 - a_fixed)
-    return (uv,), _step(uv, -(1.0 - alpha) / weight, (alpha - a_fixed) / weight)
+    v = free_m.cdf(uv)  # 0 where alpha = a puts uv at the bottom of the support
+    h = b.copula.h(a_fixed, v, -math.log(v) if v > 0.0 else math.inf)
+    return (uv,), _var_response(uv, (1.0 - h) * free_m.pdf(uv), -(1.0 - alpha), alpha - a_fixed)
 
 
 def _lower_rvar(b, levels, x_fixed, fixed_index):
@@ -89,8 +65,8 @@ def _lower_rvar(b, levels, x_fixed, fixed_index):
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
     q2 = free_m.quantile(a2)
-    b_top = _joint_cdf(b, fixed_index, x_fixed, q2)
     lv = lower_var(b, a1, x_fixed, fixed_index)
+    b_top = _band_edge(b.copula, a_fixed, levels, upper=False)
     measure = lower_rvar(b, levels, x_fixed, fixed_index)
     width = b_top - a1
 
@@ -112,15 +88,11 @@ def _upper_rvar(b, levels, x_fixed, fixed_index):
         raise DomainError("alpha2 must be below 1 for the upper rvar sensitivity")
     fixed_m, free_m = _margins(b, fixed_index)
     a_fixed = fixed_m.cdf(x_fixed)
-    if a1 <= 0.0:
-        c_bot = a_fixed
-        q1 = free_m.support()[0]
-        if not math.isfinite(q1):
-            raise DomainError("alpha1 = 0 needs a free margin bounded below")
-    else:
-        q1 = free_m.quantile(a1)
-        c_bot = a_fixed + (1.0 - a_fixed) * _cond_upper_cdf(b, fixed_index, x_fixed, q1, a_fixed)
+    q1 = free_m.quantile(a1) if a1 > 0.0 else free_m.support()[0]
+    if not math.isfinite(q1):
+        raise DomainError("alpha1 = 0 needs a free margin bounded below")
     uv2 = upper_var(b, a2, x_fixed, fixed_index)
+    c_bot = _band_edge(b.copula, a_fixed, levels, upper=True)
     measure = upper_rvar(b, levels, x_fixed, fixed_index)
     width = a2 - c_bot
 

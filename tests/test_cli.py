@@ -321,6 +321,19 @@ def test_sensitivity_tvar_unbounded(capsys):
     assert lines[-1] == "bounded=false sup_abs=inf"
 
 
+def test_sensitivity_on_data_in_large_units(capsys):
+    # the README model in units 1e9 times larger; a density by finite
+    # differences read ~8e-13 here and was refused as numerically zero
+    code, out, _ = run_cli(capsys, [
+        "sensitivity", "--margin1", "weibull", "shape=2", "scale=50e9",
+        "--margin2", "weibull", "shape=2", "scale=150e9", "--copula", "gumbel", "theta=1.5",
+        "--target", "lower_var", "--alpha", "0.9", "--x-fixed", "80e9",
+        "--z-list", "20e9,120e9"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [ln.split(",")[1] for ln in lines[1:3]] == ["-3.032267229e+10"] * 2
+
+
 def test_run_config_round_trip():
     cfg = RunConfig(command="curve", margin1="exponential lam=1",
                     margin2="exponential lam=2", copula="gumbel theta=1.5",

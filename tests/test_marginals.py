@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -98,6 +99,46 @@ def test_gpd_cdf_below_threshold_raises():
         m.cdf(4.0)
     # at the threshold itself the cdf equals 1 - zeta_u
     assert m.cdf(5.0) == pytest.approx(0.9)
+
+
+_PDF_LEVELS = [1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6]
+# each family against scipy.stats; GPDTail is zeta_u times the GPD density above u
+_PDF_CASES = [
+    (GEV(1.0, 2.0, 0.3), stats.genextreme(-0.3, loc=1.0, scale=2.0), 1.0),
+    (GEV(1.0, 2.0, 0.9), stats.genextreme(-0.9, loc=1.0, scale=2.0), 1.0),
+    (GEV(1.0, 2.0, -0.4), stats.genextreme(0.4, loc=1.0, scale=2.0), 1.0),
+    (GEV(1.0, 2.0, -1.5), stats.genextreme(1.5, loc=1.0, scale=2.0), 1.0),
+    (GEV(1.0, 2.0, 0.0), stats.gumbel_r(loc=1.0, scale=2.0), 1.0),
+    (Weibull(2.0, 50.0), stats.weibull_min(2.0, scale=50.0), 1.0),
+    (Weibull(0.5, 3.0), stats.weibull_min(0.5, scale=3.0), 1.0),
+    (Exponential(0.5), stats.expon(scale=2.0), 1.0),
+    (Uniform(-1.0, 3.0), stats.uniform(-1.0, 4.0), 1.0),
+    (GPDTail(5.0, 2.0, 0.25, 0.1), stats.genpareto(0.25, loc=5.0, scale=2.0), 0.1),
+    (GPDTail(0.0, 1.0, -0.3, 0.05), stats.genpareto(-0.3, loc=0.0, scale=1.0), 0.05),
+    (GPDTail(5.0, 2.0, 0.0, 0.1), stats.genpareto(0.0, loc=5.0, scale=2.0), 0.1),
+]
+
+
+@pytest.mark.parametrize("m,ref,zeta", _PDF_CASES, ids=[repr(c[0]) for c in _PDF_CASES])
+def test_pdf_matches_scipy(m, ref, zeta):
+    for p in _PDF_LEVELS:
+        # GPDTail levels are read inside its tail, 1 - zeta_u (1 - p)
+        x = m.quantile(1.0 - zeta * (1.0 - p))
+        assert m.pdf(x) == pytest.approx(zeta * ref.pdf(x), rel=1e-13, abs=0.0), (m, p)
+
+
+def test_pdf_is_zero_off_the_support():
+    for m in [GEV(0.0, 1.0, 0.3), GEV(0.0, 1.0, -0.4), Weibull(2.0, 50.0), Exponential(0.5),
+              Uniform(-1.0, 3.0)]:
+        lo, hi = m.support()
+        for x in (lo - 1.0, hi + 1.0):
+            if math.isfinite(x):
+                assert m.pdf(x) == 0.0, (m, x)
+    assert Weibull(2.0, 50.0).pdf(-1.0) == 0.0 and Weibull(2.0, 1.0).pdf(1e300) == 0.0
+    gpd = GPDTail(0.0, 1.0, -0.3, 0.05)
+    assert gpd.pdf(gpd.support()[1] + 1.0) == 0.0
+    with pytest.raises(DomainError):
+        GPDTail(5.0, 2.0, 0.25, 0.1).pdf(4.0)  # below u, as its cdf
 
 
 def test_quantile_array_matches_scalar():

@@ -15,6 +15,7 @@ from rvar import (
     Independence,
     LevelRange,
     Weibull,
+    ZeroDensityError,
     branch_label,
     lower_rvar,
     lower_tvar,
@@ -28,6 +29,7 @@ from rvar import (
     upper_rvar,
     upper_var,
 )
+from rvar.robustness import _TARGETS
 
 EXP_IND = BivariateModel(Exponential(1.0), Exponential(2.0), Independence())
 WEIB_GUM = BivariateModel(Weibull(2.0, 50.0), Weibull(2.0, 150.0), Gumbel(1.5))
@@ -68,17 +70,40 @@ def _gum_cond_upper(x):
 
 
 def test_sens_lower_var_independence_analytic():
-    # with independent exponentials the conditional law is the free margin
+    # with independent exponentials each conditional law is the free margin,
+    # whose density 2 e^(-2y) the VaR responses divide by, exactly
     alpha, x = 0.9, 3.0
     a = 1.0 - math.exp(-x)
     lv = lower_var(EXP_IND, alpha, x)
     assert lv == pytest.approx(-math.log(1.0 - alpha / a) / 2.0, rel=1e-10)
     dens = 2.0 * math.exp(-2.0 * lv)
     assert sens_lower_var(EXP_IND, alpha, x, lv - 0.5) == pytest.approx(
-        -(a - alpha) / (dens * a), rel=1e-7)
+        -(a - alpha) / (dens * a), rel=1e-13)
     assert sens_lower_var(EXP_IND, alpha, x, lv + 0.5) == pytest.approx(
-        alpha / (dens * a), rel=1e-7)
+        alpha / (dens * a), rel=1e-13)
     assert sens_lower_var(EXP_IND, alpha, x, lv) == 0.0
+    x = 0.5
+    a = 1.0 - math.exp(-x)
+    uv = upper_var(EXP_IND, alpha, x)
+    dens = 2.0 * math.exp(-2.0 * uv)
+    assert sens_upper_var(EXP_IND, alpha, x, uv - 0.5) == pytest.approx(
+        -(1.0 - alpha) / (dens * (1.0 - a)), rel=1e-13)
+    assert sens_upper_var(EXP_IND, alpha, x, uv + 0.5) == pytest.approx(
+        (alpha - a) / (dens * (1.0 - a)), rel=1e-13)
+    assert sens_upper_var(EXP_IND, alpha, x, uv) == 0.0
+
+
+def test_sens_upper_var_at_the_bottom_of_the_support():
+    # F_fixed(ln 2) = 1/2 = alpha puts the upper VaR at y = 0, where F(y) = 0
+    x = math.log(2.0)
+    assert EXP_IND.margin1.cdf(x) == 0.5 and upper_var(EXP_IND, 0.5, x) == 0.0
+    # weight (1 - a) f(0) = 1/2 * 2
+    assert sens_upper_var(EXP_IND, 0.5, x, -1.0) == -0.5
+    assert sens_upper_var(EXP_IND, 0.5, x, 1.0) == 0.0
+    # under Gumbel(1.5) h(a, v) -> 1 as v -> 0: the conditional density is 0 there
+    gumbel = BivariateModel(Exponential(1.0), Exponential(2.0), Gumbel(1.5))
+    with pytest.raises(ZeroDensityError):
+        sens_upper_var(gumbel, 0.5, x, 1.0)
 
 
 @pytest.mark.parametrize("z_off", [-0.8, -0.2, 0.3, 1.0])
@@ -263,3 +288,77 @@ def test_sens_fixed_index_symmetry():
 def test_non_finite_x_fixed_is_named(measure, x):
     with pytest.raises(DomainError, match="x_fixed"):
         measure(x)
+
+
+def _readme_model(c):
+    return BivariateModel(Weibull(2.0, 50.0 * c), Weibull(2.0, 150.0 * c), Gumbel(1.5))
+
+
+_BAND = LevelRange(0.9, 0.99)
+# target -> (sensitivity of a model at (x, z), x, z on every piece) on the README model
+_SCALED = {
+    "sens_lower_var": (lambda b, x, z: sens_lower_var(b, 0.9, x, z), 80.0, (100.0, 400.0)),
+    "sens_lower_rvar": (lambda b, x, z: sens_lower_rvar(b, _BAND, x, z), 80.0, (100.0, 290.0, 400.0)),
+    "sens_lower_tvar": (lambda b, x, z: sens_lower_tvar(b, 0.9, x, z), 80.0, (100.0, 400.0)),
+    "sens_upper_var": (lambda b, x, z: sens_upper_var(b, 0.9, x, z), 40.0, (100.0, 400.0)),
+    "sens_upper_rvar": (lambda b, x, z: sens_upper_rvar(b, _BAND, x, z), 40.0, (100.0, 240.0, 400.0)),
+}
+_UPPER_BISECTS = pytest.mark.xfail(
+    strict=True, reason="upper_var bisects in y with absolute tolerances (ROADMAP item 3)")
+
+
+@pytest.mark.parametrize("target,k", [
+    *[(t, k) for t in ("sens_lower_var", "sens_lower_rvar", "sens_lower_tvar")
+      for k in range(-12, 13, 3)],
+    *[("sens_upper_var", k) for k in (0, 6, 9, 12)],
+    *[pytest.param(t, k, marks=_UPPER_BISECTS)
+      for t in ("sens_upper_var", "sens_upper_rvar") for k in (-12, -9, -6)],
+])
+def test_sensitivities_scale_with_the_data(target, k):
+    # f(c x, c z) = c f(x, z) with both margins' scales times c. A response
+    # that crosses 0 has no relative size, so the floor is 1e-12 of the
+    # free margin's scale, where the measure's own quadrature tolerance sits
+    sens, x, zs = _SCALED[target]
+    c = 10.0**k
+    for z in zs:
+        want = c * sens(_readme_model(1.0), x, z)
+        got = sens(_readme_model(c), c * x, c * z)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * 150.0 * c), z
+
+
+def _gumbel15_h(a, v):
+    """dC(a, v)/dv of Gumbel(1.5), coded apart from the package."""
+    la, lv = -math.log(a), -math.log(v)
+    s = la**1.5 + lv**1.5
+    return _gumbel15(a, v) / v * lv**0.5 * s ** (1.0 / 1.5 - 1.0)
+
+
+@pytest.mark.parametrize("measure,x,level", [
+    (lower_var, 80.0, 0.9),
+    (lower_rvar, 80.0, _BAND),
+    (lower_tvar, 80.0, 0.9),
+    (upper_var, 40.0, 0.9),
+    (upper_rvar, 40.0, _BAND),
+], ids=["lower_var", "lower_rvar", "lower_tvar", "upper_var", "upper_rvar"])
+def test_sensitivities_have_mean_zero_under_the_conditional_law(measure, x, level):
+    # an influence function integrates to 0 against the law it perturbs:
+    # h(a, F(y)) f(y) / a below the pinned point, (1 - h) f / (1 - a) above
+    from scipy import stats
+    from scipy.integrate import quad
+
+    free = stats.weibull_min(2.0, scale=150.0)
+    a = WEIB_GUM.margin1.cdf(x)
+    target = measure.__name__
+    if target.startswith("lower"):
+        def density(y):
+            return _gumbel15_h(a, free.cdf(y)) * free.pdf(y) / a
+    else:
+        def density(y):
+            return (1.0 - _gumbel15_h(a, free.cdf(y))) * free.pdf(y) / (1.0 - a)
+    # the response that sens_<target> evaluates, built once for the quadrature
+    breakpoints, sens = _TARGETS[target][1](WEIB_GUM, level, x, 1)
+    ends = [0.0, *breakpoints, math.inf]
+    total = sum(
+        quad(lambda y: sens(y) * density(y), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(ends, ends[1:]))
+    assert abs(total) <= 1e-10 * measure(WEIB_GUM, level, x)
