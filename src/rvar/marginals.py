@@ -374,9 +374,11 @@ class Weibull:
         return -math.expm1(-z)
 
     def pdf(self, x: float) -> float:
-        """shape z e^(-z) / x at the cdf's z = (x / scale)^shape; 0 for x <= 0."""
-        if x <= 0:
+        """shape z e^(-z) / x at the cdf's z = (x / scale)^shape; 0 below 0."""
+        if x < 0 or (x == 0 and self.shape > 1.0):
             return 0.0
+        if x == 0:  # the limit from above
+            return 1.0 / self.scale if self.shape == 1.0 else math.inf
         try:
             z = (x / self.scale) ** self.shape
         except OverflowError:  # and e^-z underflows

@@ -30,10 +30,8 @@ from .orthant import _band_edge, _check_x_fixed, _margins, lower_rvar, lower_tva
 
 
 def _var_response(bp, weight, left, right):
-    """left / weight below the breakpoint, right / weight above, 0 at it.
-
-    The weight is the conditional density at bp times the orthant's mass.
-    """
+    """left / weight below the breakpoint, right / weight above, 0 at it; the
+    weight is the conditional density at bp times the orthant's mass."""
     if weight == 0.0:
         raise ZeroDensityError(f"conditional density at y={bp:.6g} is 0")
     left, right = left / weight, right / weight

@@ -141,6 +141,13 @@ def test_pdf_is_zero_off_the_support():
         GPDTail(5.0, 2.0, 0.25, 0.1).pdf(4.0)  # below u, as its cdf
 
 
+def test_weibull_pdf_at_zero_is_its_limit():
+    assert Weibull(1.0, 2.0).pdf(0.0) == Exponential(0.5).pdf(0.0) == 0.5
+    assert Weibull(0.5, 1.0).pdf(0.0) == math.inf
+    assert Weibull(2.0, 1.0).pdf(0.0) == 0.0
+    assert Weibull(1.0, 2.0).pdf(1e-300) == pytest.approx(0.5, rel=1e-15)
+
+
 def test_quantile_array_matches_scalar():
     m = GEV(0.0, 1.0, 0.2)
     ps = np.array([0.1, 0.5, 0.9, 0.99])
