@@ -143,7 +143,11 @@ class Gumbel:
             return rng.random(size=(n, 2))
         s = _stable_frailty(rng, n, self.theta)
         e = rng.exponential(1.0, size=(n, 2))
-        return np.exp(-((e / s[:, None]) ** (1.0 / self.theta)))
+        # exp(-(e / s)^(1/theta)), in place on e
+        e /= s[:, None]
+        e **= 1.0 / self.theta
+        np.negative(e, out=e)
+        return np.exp(e, out=e)
 
 
 def copula_cdf(c, u: float, v: float) -> float:
@@ -184,9 +188,17 @@ def _stable_frailty(rng, n: int, theta: float) -> np.ndarray:
     w = rng.exponential(1.0, size=n)
     np.clip(v, 1e-12, math.pi - 1e-12, out=v)
     np.clip(w, 1e-300, None, out=w)
-    s = (np.sin(a * v) / np.sin(v) ** (1.0 / a)) * (
-        np.sin((1.0 - a) * v) / w
-    ) ** ((1.0 - a) / a)
+    # the same operations in the same order, on two buffers besides v and w
+    s = np.multiply(a, v)
+    np.sin(s, out=s)
+    sin_v = np.sin(v)
+    sin_v **= 1.0 / a
+    s /= sin_v
+    v *= 1.0 - a
+    np.sin(v, out=v)
+    v /= w
+    v **= (1.0 - a) / a
+    s *= v
     return s
 
 
@@ -199,6 +211,8 @@ def sample(b: BivariateModel, n: int, seed: int):
     rng = np.random.default_rng(seed)
     uv = b.copula.uniforms(rng, n)
     np.clip(uv, _U_LO, _U_HI, out=uv)
-    x1 = b.margin1.quantile_array(uv[:, 0])
-    x2 = b.margin2.quantile_array(uv[:, 1])
-    return SampleMatrix(np.column_stack([x1, x2]))
+    # filled column by column in the sample's own column-major layout
+    data = np.empty((n, 2), order="F")
+    data[:, 0] = b.margin1.quantile_array(uv[:, 0])
+    data[:, 1] = b.margin2.quantile_array(uv[:, 1])
+    return SampleMatrix(data)

@@ -5,13 +5,17 @@ point); upper estimators condition strictly above it.  Level indices use a
 ceiling with a small fuzz so that exact multiples of 1/n are not lost to
 floating point.
 
-Each queried column of a sample keeps a rank index (its sorted values and
-the row at every rank).  An estimate gives each row a bucket, the first
-grid point at which the row is conditioned: one pinned point compares the
-pinned columns with it, and a curve, whose conditioned sets are nested
-along the grid, searches its grid once per row.  Every grid point's count
-and order statistics then come from the buckets in rank order, without
-sorting.
+Each queried column of a sample keeps a partial rank index: its sorted
+values and the row at every rank from the lowest rank a query has read
+up.  A lower ladder reads only ranks from its first rung, ceil(n alpha1)
+- 1, up, so the column is partitioned there and only the rows above are
+sorted; a later query that reads lower ranks rebuilds the index from its
+own rank down, and rank 0 is a full sort.  An estimate gives each row a
+bucket, the first grid point at which the row is conditioned: one pinned
+point compares the pinned columns with it, and a curve, whose conditioned
+sets are nested along the grid, searches its grid once per row.  Every
+grid point's count and order statistics then come from the buckets in
+rank order, without sorting.
 """
 
 from __future__ import annotations
@@ -67,18 +71,28 @@ class SampleMatrix:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def _rank_index(self, col: int):
-        """Sorted values and int32 sort order of a 0-based column.
+    def _rank_index(self, col: int, rank: int):
+        """(r0, sorted, order): a 0-based column's rank index from r0 <= rank up.
 
-        Built on the first query of the column and kept (12 bytes per row).
-        ``order[r]`` is the row at rank r, tied values taking distinct
-        ranks, so ``sorted[r] == data[order[r], col]``.
+        ``order[i]`` is the row at rank r0 + i, tied values taking distinct
+        ranks, so ``sorted[i] == data[order[i], col]``, and every row ranked
+        below r0 holds a value at or below ``sorted[0]``.  The first query
+        of a column partitions it at ``rank`` and sorts the rows above; the
+        index is kept (12 bytes per indexed row) and serves every query at
+        or above r0, while one below r0 rebuilds it from its own rank.
+        Which of several tied rows holds a rank is immaterial: the j-th
+        qualifying value is the same order statistic either way.
         """
         index = self._ranked.get(col)
-        if index is None:
+        if index is None or index[0] > rank:
             values = self.data[:, col]
-            order = np.argsort(values).astype(np.int32)
-            index = self._ranked[col] = (values[order], order)
+            if rank == 0:
+                order = np.argsort(values)
+            else:
+                top = np.argpartition(values, rank)[rank:]
+                order = top[np.argsort(values[top])]
+            order = order.astype(np.int32)
+            index = self._ranked[col] = (rank, values[order], order)
         return index
 
 
@@ -171,12 +185,12 @@ def _at_or_below(bucket: np.ndarray, size: int):
     return np.cumsum(hist[:size])
 
 
-def _order_stat_means(index, bucket, g, k, j, lo: int):
+def _order_stat_means(s: SampleMatrix, fc: int, bucket, g, k, j, lo: int):
     """Mean of the 1-based order statistics j of the rows qualifying at rank g.
 
-    ``index`` is the free column's rank index and k the number of rows
-    qualifying at g.  A one-point bucket has the one rank g = 0, a scalar k
-    and one row j; a curve has a row of j per entry of the arrays g and k.
+    fc is the 0-based free column and k the number of rows qualifying at
+    g.  A one-point bucket has the one rank g = 0, a scalar k and one row
+    of j; a curve has a row of j per entry of the arrays g and k.
     Each row of j must be non-decreasing and at most its k, and lo a rank
     at or below that of every row's j[0]-th qualifying row.  Ranks are
     distinct, so min(j[..., 0]) - 1 always is.  Only ranks from lo up are
@@ -185,8 +199,8 @@ def _order_stat_means(index, bucket, g, k, j, lo: int):
     cells or one rank's, lists them all in one pass.  The mean is np.mean's:
     the row sum over the row length.
     """
-    vals, order = index
-    vals, b = vals[lo:], bucket[order[lo:]]
+    r0, vals, order = s._rank_index(fc, lo)
+    vals, b = vals[lo - r0:], bucket[order[lo - r0:]]
     g = np.asarray(g, dtype=b.dtype)  # compare in the buckets' type
     # a rank's k - (hits at or above lo) qualifying rows come before its hits
     if g.ndim == 0:
@@ -204,15 +218,20 @@ def _order_stat_means(index, bucket, g, k, j, lo: int):
     return out
 
 
+def _level_rank(n: int, p: float) -> int:
+    """0-based rank of the order statistic at ceiling(n p), for 0 <= p <= 1."""
+    return min(max(1, math.ceil(n * p - _INDEX_FUZZ)), n) - 1
+
+
 def marginal_quantile(s: SampleMatrix, col: int, p: float) -> float:
     """Order statistic at ceiling(n p) of a 1-based column."""
     if not 1 <= col <= s.d:
         raise DomainError(f"col must be in 1..{s.d}, got {col}")
     if not 0.0 < p <= 1.0:
         raise DomainError(f"p must lie in (0, 1], got {p}")
-    vals, _ = s._rank_index(col - 1)
-    j = max(1, math.ceil(s.n * p - _INDEX_FUZZ))
-    return float(vals[min(j, s.n) - 1])
+    rank = _level_rank(s.n, p)
+    r0, vals, _ = s._rank_index(col - 1, rank)
+    return float(vals[rank - r0])
 
 
 def _lower_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, size: int):
@@ -224,9 +243,10 @@ def _lower_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, size: 
     top.  A one-point bucket gives scalars and one row of j.
     """
     a1, a2 = cfg.levels.alpha1, cfg.levels.alpha2
-    vals, order = s._rank_index(fc)
+    # every rung, and q2, lies at or above the rank of the alpha1 quantile
+    r0, vals, order = s._rank_index(fc, _level_rank(s.n, a1))
     k = _at_or_below(bucket, size)
-    q2 = marginal_quantile(s, fc + 1, a2)
+    q2 = vals[_level_rank(s.n, a2) - r0]
     end = np.searchsorted(vals, q2, side="right")  # first rank above q2 and its ties
     top = (k - _at_or_below(bucket[order[end:]], size)) / s.n
     step = (top - a1) / cfg.m
@@ -242,13 +262,14 @@ def _upper_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, size: 
     As _lower_ladder, with the band bottom in place of its top.
     """
     a1, a2 = cfg.levels.alpha1, cfg.levels.alpha2
-    vals, order = s._rank_index(fc)
     k = _at_or_below(bucket, size)
     start, above = 0, k  # qualifying rows ranked above q1 and its ties
     if a1 > 0.0:
-        q1 = marginal_quantile(s, fc + 1, a1)
-        start = int(np.searchsorted(vals, q1, side="right"))
-        above = _at_or_below(bucket[order[start:]], size)
+        rank = _level_rank(s.n, a1)
+        r0, vals, order = s._rank_index(fc, rank)
+        end = int(np.searchsorted(vals, vals[rank - r0], side="right"))
+        above = _at_or_below(bucket[order[end:]], size)
+        start = r0 + end
     bottom = 1.0 - above / s.n
     step = (a2 - bottom) / cfg.m
     v = bottom[..., None] + step[..., None] * np.arange(1, cfg.m + 1)
@@ -296,7 +317,7 @@ def emp_lower_var(s: SampleMatrix, u: float, x_fixed, free_index: int = 2) -> fl
         raise InfeasibleLevelError(
             f"level u={u:.6g} needs joint mass {j}/{s.n}, only {k} rows qualify"
         )
-    return float(_order_stat_means(s._rank_index(fc), bucket, 0, k, np.array([j]), j - 1))
+    return float(_order_stat_means(s, fc, bucket, 0, k, np.array([j]), j - 1))
 
 
 def emp_upper_var(s: SampleMatrix, v: float, x_fixed, free_index: int = 2) -> float:
@@ -313,7 +334,7 @@ def emp_upper_var(s: SampleMatrix, v: float, x_fixed, free_index: int = 2) -> fl
             f"level v={v:.6g} is met below every conditioned observation"
         )
     j = min(j, k)
-    return float(_order_stat_means(s._rank_index(fc), bucket, 0, k, np.array([j]), j - 1))
+    return float(_order_stat_means(s, fc, bucket, 0, k, np.array([j]), j - 1))
 
 
 def emp_lower_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: int = 2) -> float:
@@ -322,7 +343,7 @@ def emp_lower_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: i
     k, j, lo, good, top = _lower_ladder(s, cfg, fc, bucket, 1)
     if not good:
         raise _ladder_error(False, k, top, cfg.levels)
-    return float(_order_stat_means(s._rank_index(fc), bucket, 0, k, j, int(lo)))
+    return float(_order_stat_means(s, fc, bucket, 0, k, j, int(lo)))
 
 
 def emp_upper_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: int = 2) -> float:
@@ -331,7 +352,7 @@ def emp_upper_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: i
     k, j, lo, good, bottom = _upper_ladder(s, cfg, fc, bucket, 1)
     if not good:
         raise _ladder_error(True, k, bottom, cfg.levels)
-    return float(_order_stat_means(s._rank_index(fc), bucket, 0, k, j, int(lo)))
+    return float(_order_stat_means(s, fc, bucket, 0, k, j, int(lo)))
 
 
 @dataclass(frozen=True)
@@ -360,7 +381,7 @@ def _curve(s: SampleMatrix, cfg: EstimatorConfig, grid, free_index: int, above: 
     values = np.full(points.size, np.nan)
     g = np.flatnonzero(good)
     if g.size:
-        values[g] = _order_stat_means(s._rank_index(fc), bucket, g, k[g], j[g], int(lo[g].min()))
+        values[g] = _order_stat_means(s, fc, bucket, g, k[g], j[g], int(lo[g].min()))
     errors = [None if good[r] else _ladder_error(above, k[r], edge[r], cfg.levels)
               for r in range(points.size)]
     if above:  # ranked from the largest point down

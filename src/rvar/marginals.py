@@ -113,10 +113,28 @@ def _log_gp(t: float, xi: float) -> float:
     support +inf below a lower endpoint (xi > 0), -inf above an upper one."""
     if abs(xi) < XI_ZERO_TOL:
         return -t
-    w = 1.0 + xi * t
-    if w <= 0.0:
+    xt = xi * t
+    if xt <= -1.0:
         return math.inf if xi > 0 else -math.inf
-    return -math.log(w) / xi
+    return -math.log1p(xt) / xi
+
+
+def _gp_quantile_array(x: np.ndarray, loc: float, sigma: float, xi: float) -> np.ndarray:
+    """loc + sigma expm1(-xi x) / xi, loc - sigma x at xi = 0, in place on x.
+
+    The GEV and GPD tail quantiles, with x = ln(-ln p) and ln((1 - p) / zeta_u).
+    """
+    import numpy as np
+
+    if abs(xi) < XI_ZERO_TOL:
+        x *= sigma
+        return np.subtract(loc, x, out=x)
+    x *= -xi
+    np.expm1(x, out=x)
+    x *= sigma
+    x /= xi
+    x += loc
+    return x
 
 
 def _check_prob_open(p: float, name: str = "p"):
@@ -147,10 +165,10 @@ class GEV:
         if abs(self.xi) < XI_ZERO_TOL:
             logv = -t
         else:
-            w = 1.0 + self.xi * t
-            if w <= 0.0:
+            xt = self.xi * t
+            if xt <= -1.0:
                 return 0.0 if self.xi > 0 else 1.0
-            logv = -math.log(w) / self.xi
+            logv = -math.log1p(xt) / self.xi
         if logv > 36.0:  # exp(-e^36) underflows to 0 before e^logv overflows
             return 0.0
         return math.exp(-math.exp(logv))
@@ -184,10 +202,10 @@ class GEV:
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        t = -np.log(p)
-        if abs(self.xi) < XI_ZERO_TOL:
-            return self.mu - self.sigma * np.log(t)
-        return self.mu + self.sigma * np.expm1(-self.xi * np.log(t)) / self.xi
+        x = np.log(p)  # ln(-ln p), in place on one buffer
+        np.negative(x, out=x)
+        np.log(x, out=x)
+        return _gp_quantile_array(x, self.mu, self.sigma, self.xi)
 
     def band_mean(self, a1: float, a2: float):
         """Average quantile over [a1, a2] (the forms are listed in uni_rvar)."""
@@ -304,10 +322,11 @@ class GPDTail:
 
         if np.any(p < 1.0 - self.zeta_u * (1.0 + 1e-12)):
             raise DomainError("GPDTail quantile below tail coverage")
-        log_r = np.log(np.minimum(1.0 - p, self.zeta_u) / self.zeta_u)
-        if abs(self.xi) < XI_ZERO_TOL:
-            return self.u - self.sigma * log_r
-        return self.u + self.sigma * np.expm1(-self.xi * log_r) / self.xi
+        x = np.subtract(1.0, p)  # ln(min(1 - p, zeta_u) / zeta_u), in place on one buffer
+        np.minimum(x, self.zeta_u, out=x)
+        x /= self.zeta_u
+        np.log(x, out=x)
+        return _gp_quantile_array(x, self.u, self.sigma, self.xi)
 
     def band_mean(self, a1: float, a2: float):
         """Average quantile over [a1, a2], both levels in the tail."""
@@ -405,7 +424,13 @@ class Weibull:
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
+        # scale (-ln(1 - p))^(1/shape), in place on one buffer
+        x = np.negative(p)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        x **= 1.0 / self.shape
+        x *= self.scale
+        return x
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: lam (Gamma(1+1/k, t) from t2 to t1) / w."""
@@ -467,7 +492,12 @@ class Exponential:
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        return -np.log1p(-p) / self.lam
+        # -ln(1 - p) / lam, in place on one buffer
+        x = np.negative(p)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        x /= self.lam
+        return x
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: [Gamma(2, t1) - Gamma(2, t2)] / (lam w).
@@ -524,7 +554,9 @@ class Uniform:
         return self.hi - s * (self.hi - self.lo)
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
-        return self.lo + p * (self.hi - self.lo)
+        x = p * (self.hi - self.lo)
+        x += self.lo
+        return x
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: lo + (hi - lo)(a1 + a2)/2."""

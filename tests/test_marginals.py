@@ -141,6 +141,39 @@ def test_pdf_is_zero_off_the_support():
         GPDTail(5.0, 2.0, 0.25, 0.1).pdf(4.0)  # below u, as its cdf
 
 
+@pytest.mark.parametrize("xi,x,cdf,pdf", [
+    # exp(-tau) and tau^(1 + xi) e^(-tau) at tau = (1 + xi x)^(-1/xi), for
+    # the binary xi and x, evaluated once with mpmath at 40 digits
+    (1e-07, -1.0, "6.598802687660838773136634729510345482242e-2", "1.793740812606633338961614652912705854906e-1"),
+    (1e-07, 0.3, "4.767236891253489117465142026008981679876e-1", "3.53165586128942963682580803485198517899e-1"),
+    (1e-07, 0.5, "5.452392077588014469175972339723199674961e-1", "3.307042839817288317028836142367194928555e-1"),
+    (1e-07, 2.0, "8.734229948521274323394026998198384515474e-1", "1.182049483936823871489654669180044319328e-1"),
+    (1e-07, 5.0, "9.932846937019644878675319150245798149851e-1", "6.692704640691325139496720739689504366467e-3"),
+    (1e-05, -1.0, "6.598713897279242693342113402067870366748e-2", "1.793743313914824245090820084868771936576e-1"),
+    (1e-05, 0.3, "4.767235317903843044250333533640167855999e-1", "3.531645780085061104957084086209890612347e-1"),
+    (1e-05, 0.5, "5.452387985135077147210422002235022106786e-1", "3.307028080282219418757242616799189442082e-1"),
+    (1e-05, 2.0, "8.73420654405164546135982893945418500991e-1", "1.182046316407504015345303786946576593393e-1"),
+    (1e-05, 5.0, "9.932838654563339171005092659149704762889e-1", "6.693195991847172638009434232767759479737e-3"),
+    (0.3, -1.0, "3.749598129075432255873359645170187968961e-2", "1.758840876879015618502260382455002910863e-1"),
+    (0.3, 0.3, "4.722166564214399996879687556928741394096e-1", "3.250572154585327869995082477349580181467e-1"),
+    (0.3, 0.5, "5.3387855344876724619037343425364729304e-1", "2.913523331055268016304315270936018646992e-1"),
+    (0.3, 2.0, "8.116084186504835118285072878019045665074e-1", "1.058830928049192476597714128792287098118e-1"),
+    (0.3, 5.0, "9.539389501045805815185271718025671549307e-1", "1.799342663662190040927719858574559433256e-2"),
+    (-0.4, -1.0, "9.836174951134759411080732697811507704687e-2", "1.629364681600297671407041716681661234414e-1"),
+    (-0.4, 0.3, "4.836220368773959179634530267448492843046e-1", "3.992363625479056387223546665924933432448e-1"),
+    (-0.4, 0.5, "5.641509608372548817037728410269650772329e-1", "4.036735673612555519409400091010511346606e-1"),
+    (-0.4, 2.0, "9.822705063757784593548871736277109272063e-1", "8.785694498197523914431617137420213759112e-2"),
+    (-0.4, 5.0, "1.0", "0.0"),  # above the upper endpoint 2.5
+])
+def test_gev_cdf_and_pdf_at_small_shapes(xi, x, cdf, pdf):
+    # ln(1 + xi x) as ln of the rounded sum lost ~1e-16/|xi|: 1.4e-9 in the
+    # cdf and 9.1e-10 in the pdf at xi = 1e-7; log1p(xi x) is measured
+    # within 6.2e-16 here
+    g = GEV(0.0, 1.0, xi)
+    assert g.cdf(x) == pytest.approx(float(cdf), rel=4e-15, abs=0.0)
+    assert g.pdf(x) == pytest.approx(float(pdf), rel=4e-15, abs=0.0)
+
+
 def test_weibull_pdf_at_zero_is_its_limit():
     assert Weibull(1.0, 2.0).pdf(0.0) == Exponential(0.5).pdf(0.0) == 0.5
     assert Weibull(0.5, 1.0).pdf(0.0) == math.inf
