@@ -9,13 +9,13 @@ Each queried column of a sample keeps a partial rank index: its sorted
 values and the row at every rank from the lowest rank a query has read
 up.  A lower ladder reads only ranks from its first rung, ceil(n alpha1)
 - 1, up, so the column is partitioned there and only the rows above are
-sorted; a later query that reads lower ranks rebuilds the index from its
-own rank down, and rank 0 is a full sort.  An estimate gives each row a
-bucket, the first grid point at which the row is conditioned: one pinned
-point compares the pinned columns with it, and a curve, whose conditioned
-sets are nested along the grid, searches its grid once per row.  Every
-grid point's count and order statistics then come from the buckets in
-rank order, without sorting.
+sorted; a later query that reads a lower rank rebuilds the index from
+rank 0, a full sort, so no column is sorted more than twice.  An estimate
+gives each row a bucket, the first grid point at which the row is
+conditioned: one pinned point compares the pinned columns with it, and a
+curve, whose conditioned sets are nested along the grid, searches its
+grid once per row.  Every grid point's count and order statistics then
+come from the buckets in rank order, without sorting.
 """
 
 from __future__ import annotations
@@ -79,20 +79,18 @@ class SampleMatrix:
         below r0 holds a value at or below ``sorted[0]``.  The first query
         of a column partitions it at ``rank`` and sorts the rows above; the
         index is kept (12 bytes per indexed row) and serves every query at
-        or above r0, while one below r0 rebuilds it from its own rank.
-        Which of several tied rows holds a rank is immaterial: the j-th
-        qualifying value is the same order statistic either way.
+        or above r0, while one below r0 rebuilds it from rank 0, so a column
+        is sorted at most twice however its queries descend.  Which of
+        several tied rows holds a rank is immaterial: the j-th qualifying
+        value is the same order statistic either way.
         """
         index = self._ranked.get(col)
         if index is None or index[0] > rank:
+            r0 = rank if index is None else 0
             values = self.data[:, col]
-            if rank == 0:
-                order = np.argsort(values)
-            else:
-                top = np.argpartition(values, rank)[rank:]
-                order = top[np.argsort(values[top])]
-            order = order.astype(np.int32)
-            index = self._ranked[col] = (rank, values[order], order)
+            top = np.argpartition(values, r0)[r0:]
+            order = top[np.argsort(values[top])].astype(np.int32)
+            index = self._ranked[col] = (r0, values[order], order)
         return index
 
 

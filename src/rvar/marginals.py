@@ -322,11 +322,8 @@ class GPDTail:
 
         if np.any(p < 1.0 - self.zeta_u * (1.0 + 1e-12)):
             raise DomainError("GPDTail quantile below tail coverage")
-        x = np.subtract(1.0, p)  # ln(min(1 - p, zeta_u) / zeta_u), in place on one buffer
-        np.minimum(x, self.zeta_u, out=x)
-        x /= self.zeta_u
-        np.log(x, out=x)
-        return _gp_quantile_array(x, self.u, self.sigma, self.xi)
+        log_r = np.log(np.minimum(1.0 - p, self.zeta_u) / self.zeta_u)
+        return _gp_quantile_array(log_r, self.u, self.sigma, self.xi)
 
     def band_mean(self, a1: float, a2: float):
         """Average quantile over [a1, a2], both levels in the tail."""
@@ -424,13 +421,7 @@ class Weibull:
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        # scale (-ln(1 - p))^(1/shape), in place on one buffer
-        x = np.negative(p)
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
-        x **= 1.0 / self.shape
-        x *= self.scale
-        return x
+        return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: lam (Gamma(1+1/k, t) from t2 to t1) / w."""
@@ -492,12 +483,7 @@ class Exponential:
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        # -ln(1 - p) / lam, in place on one buffer
-        x = np.negative(p)
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
-        x /= self.lam
-        return x
+        return -np.log1p(-p) / self.lam
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: [Gamma(2, t1) - Gamma(2, t2)] / (lam w).
@@ -554,9 +540,7 @@ class Uniform:
         return self.hi - s * (self.hi - self.lo)
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
-        x = p * (self.hi - self.lo)
-        x += self.lo
-        return x
+        return self.lo + p * (self.hi - self.lo)
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: lo + (hi - lo)(a1 + a2)/2."""

@@ -191,31 +191,55 @@ def test_sampler_is_bit_reproducible_across_versions(cop, digest):
     assert hashlib.sha256(sample(b, 1000, seed=7).data.tobytes()).hexdigest() == digest
 
 
-_MARGIN_DIGESTS = [
-    (GEV(0.0, 1.0, 0.2), "43ae8db60d4a1b2882ab78ad7680c48bda3ddd203d51e8d36d8fb7c3a0301ef2",
-     "eded196d33c86e020b5b4f917c828cfdff574844db736cbb594cefca5593a1e5"),
-    (GEV(0.0, 1.0, 0.0), "3eb08e1395627e813caa433c3cb0f03a397d24d42b37e41afe464d200f703e24",
-     "6b710ec6f01464c4d8609488c102dde7198570cca6425b3d58cb28ce0375150b"),
-    (Weibull(2.0, 50.0), "84279355ab88241e7f2383785fb2c8d95cbc6c4f4ec7f17a2566e932542e88f7",
-     "026b2bbc4b36765d572821e898b9233bc3b9aeb5b64e9228041d7c47e56f424c"),
-    (Exponential(2.0), "d46b0b22e1fed07be8c5060b01db23df1b84bd49aaa42ca390f64b2c0478306f",
-     "acbb2732d6e5322bd3ffb2fa4579a3312799808cbc2471048e724d00bf4bd315"),
-    (GPDTail(10.0, 2.0, 0.25, 1.0), "24a62d115ec9cf98b426d90cead85d79f0b455356f94826037e2836ac45fa43d",
-     "c83238e4fff3827b02e158f5e291b128384dc47be95a2a2f431272ff61ddeabe"),
+def _one_line_frailty_uniforms(rng, n, theta):
+    """Gumbel uniforms as one expression per step, in the sampler's draw order."""
+    a = 1.0 / theta
+    v = np.clip(rng.uniform(0.0, math.pi, size=n), 1e-12, math.pi - 1e-12)
+    w = np.clip(rng.exponential(1.0, size=n), 1e-300, None)
+    s = (np.sin(a * v) / np.sin(v) ** (1.0 / a)) * (np.sin((1.0 - a) * v) / w) ** ((1.0 - a) / a)
+    e = rng.exponential(1.0, size=(n, 2))
+    return np.exp(-((e / s[:, None]) ** (1.0 / theta)))
+
+
+def _one_line_gp(loc, sigma, xi, x):
+    return loc - sigma * x if xi == 0.0 else loc + sigma * np.expm1(-xi * x) / xi
+
+
+# each family's quantile as one expression, in its operation order
+_ONE_LINE_QUANTILES = [
+    (GEV(0.0, 1.0, 0.2), lambda p: _one_line_gp(0.0, 1.0, 0.2, np.log(-np.log(p)))),
+    (GEV(0.3, 1.7, 0.2), lambda p: _one_line_gp(0.3, 1.7, 0.2, np.log(-np.log(p)))),
+    (GEV(0.5, 2.3, 0.0), lambda p: _one_line_gp(0.5, 2.3, 0.0, np.log(-np.log(p)))),
+    (GEV(1.0, 0.7, -0.3), lambda p: _one_line_gp(1.0, 0.7, -0.3, np.log(-np.log(p)))),
+    (Weibull(2.0, 50.0), lambda p: 50.0 * (-np.log1p(-p)) ** (1.0 / 2.0)),
+    (Exponential(2.0), lambda p: -np.log1p(-p) / 2.0),
+    (Uniform(-1.0, 3.0), lambda p: -1.0 + p * (3.0 - -1.0)),
+    (GPDTail(10.0, 2.3, 0.25, 1.0),
+     lambda p: _one_line_gp(10.0, 2.3, 0.25, np.log(np.minimum(1.0 - p, 1.0) / 1.0))),
+    (GPDTail(10.0, 2.3, 0.0, 1.0),
+     lambda p: _one_line_gp(10.0, 2.3, 0.0, np.log(np.minimum(1.0 - p, 1.0) / 1.0))),
 ]
 
 
-@pytest.mark.parametrize("margin,indep,gumbel", _MARGIN_DIGESTS,
-                         ids=[repr(c[0]) for c in _MARGIN_DIGESTS])
-def test_sampler_margins_are_bit_reproducible(margin, indep, gumbel):
-    # every quantile_array and the Gumbel frailty sampler: the digests were
-    # taken before they worked in place on one buffer, so a reordered
-    # operation moves a bit. numpy's vectorised log, log1p, expm1, exp and
-    # sin may differ in the last bit between CPU instruction sets (taken with
-    # numpy 2.4.6 on x86-64 with AVX-512)
-    for cop, digest in ((Independence(), indep), (Gumbel(1.5), gumbel)):
-        b = BivariateModel(margin, margin, cop)
-        assert hashlib.sha256(sample(b, 1000, seed=7).data.tobytes()).hexdigest() == digest
+def test_gumbel_uniforms_match_the_one_line_frailty_sampler():
+    # the in-place frailty sampler runs the same operations in the same
+    # order as the one expression, so it gives its bits on any CPU
+    for theta in (1.5, 3.0):
+        got = Gumbel(theta).uniforms(np.random.default_rng(7), 1000)
+        assert np.array_equal(got, _one_line_frailty_uniforms(np.random.default_rng(7), 1000, theta))
+
+
+@pytest.mark.parametrize("margin,quantile", _ONE_LINE_QUANTILES,
+                         ids=[repr(c[0]) for c in _ONE_LINE_QUANTILES])
+def test_sampler_margins_match_the_one_line_quantiles(margin, quantile):
+    # a quantile_array that reorders an operation moves a bit; the sample is
+    # the clipped copula uniforms through each margin, column by column
+    for cop in (Independence(), Gumbel(1.5)):
+        uv = cop.uniforms(np.random.default_rng(7), 1000)
+        np.clip(uv, 2.0**-53, 1.0 - 2.0**-53, out=uv)
+        data = sample(BivariateModel(margin, margin, cop), 1000, seed=7).data
+        assert np.array_equal(data[:, 0], quantile(uv[:, 0]))
+        assert np.array_equal(data[:, 1], quantile(uv[:, 1]))
 
 
 def test_sampler_margins_are_correct():
