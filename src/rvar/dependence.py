@@ -211,8 +211,9 @@ def sample(b: BivariateModel, n: int, seed: int):
     rng = np.random.default_rng(seed)
     uv = b.copula.uniforms(rng, n)
     np.clip(uv, _U_LO, _U_HI, out=uv)
-    # filled column by column in the sample's own column-major layout
+    # each margin writes its quantiles straight into its column of the
+    # sample's own column-major buffer, which the sample then keeps uncopied
     data = np.empty((n, 2), order="F")
-    data[:, 0] = b.margin1.quantile_array(uv[:, 0])
-    data[:, 1] = b.margin2.quantile_array(uv[:, 1])
-    return SampleMatrix(data)
+    b.margin1.quantile_array(uv[:, 0], out=data[:, 0])
+    b.margin2.quantile_array(uv[:, 1], out=data[:, 1])
+    return SampleMatrix._adopt(data)

@@ -13,9 +13,11 @@ sorted; a later query that reads a lower rank rebuilds the index from
 rank 0, a full sort, so no column is sorted more than twice.  An estimate
 gives each row a bucket, the first grid point at which the row is
 conditioned: one pinned point compares the pinned columns with it, and a
-curve, whose conditioned sets are nested along the grid, searches its
-grid once per row.  Every grid point's count and order statistics then
-come from the buckets in rank order, without sorting.
+curve, whose conditioned sets are nested along the grid, places a row at
+or below its first point or above its last by two comparisons and
+searches the grid only for the rows in between, counting each point's
+conditioned rows in the same pass.  Every grid point's order statistics
+then come from the buckets in rank order, without sorting.
 """
 
 from __future__ import annotations
@@ -46,14 +48,26 @@ class SampleMatrix:
 
     ``data`` is a read-only, column-major copy of the input, so the rank
     index that the estimators build per column can never go stale and every
-    column is contiguous.
+    column is contiguous.  ``sample`` hands over the buffer it has just
+    filled, which no one else holds, through ``_adopt``, without the copy.
     """
 
     data: np.ndarray
     _ranked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=float, order="F")
+        self._hold(np.array(self.data, dtype=float, order="F"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> SampleMatrix:
+        """A sample on a column-major float buffer that no one else holds, uncopied."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_ranked", {})
+        s._hold(arr)
+        return s
+
+    def _hold(self, arr: np.ndarray) -> None:
+        """Check arr's shape and values, make it read-only and keep it as ``data``."""
         if arr.ndim != 2:
             raise DomainError(f"sample matrix must be 2-dimensional, got ndim={arr.ndim}")
         if arr.shape[0] < 2 or arr.shape[1] < 2:
@@ -149,25 +163,42 @@ def _conditioned(s: SampleMatrix, x_fixed, free_index: int, above: bool):
     return fc, np.logical_not(hit, out=hit)
 
 
-def _curve_buckets(s: SampleMatrix, points: np.ndarray, others: list, above: bool) -> np.ndarray:
-    """Row buckets of a curve's distinct grid points, given in ascending order.
+def _curve_buckets(s: SampleMatrix, points: np.ndarray, others: list, above: bool):
+    """Row buckets of a curve's distinct grid points, given in ascending
+    order, and the number of rows qualifying at each rank.
 
     The points are ranked so that the conditioned sets grow with the rank:
     ascending for the lower estimators, descending for the upper ones.  A
     row's bucket is the first rank at which it qualifies (the number of
     points if none), so it qualifies at rank g iff its bucket is at most g.
     Every pinned column, listed in ``others``, is held at the grid point, so
-    a row is keyed by the largest (lower) or smallest (upper) of them.
+    a row is keyed by the largest (lower) or smallest (upper) of them.  Two
+    comparisons place a key at or below the first point or above the last;
+    only the keys in between are searched in the grid, and counted by the
+    number of points below them, block by block.
     """
     size = points.size
-    key = s.data[:, others[0]]
-    for c in others[1:]:
-        key = (np.minimum if above else np.maximum)(key, s.data[:, c])
+    if size == 0:
+        return np.zeros(s.n, dtype=np.uint8), np.zeros(0, dtype=np.intp)
     bucket = np.empty(s.n, dtype=np.min_scalar_type(size))
+    hist = np.zeros(size + 1, dtype=np.intp)  # rows by the number of points below their key
+    first, last, top = points[0], points[-1], bucket.dtype.type(size)
     for i in range(0, s.n, _CHUNK_CELLS):
-        b = np.searchsorted(points, key[i:i + _CHUNK_CELLS])  # grid points below the key
-        bucket[i:i + _CHUNK_CELLS] = size - b if above else b
-    return bucket
+        rows = slice(i, i + _CHUNK_CELLS)
+        key = s.data[rows, others[0]]
+        for c in others[1:]:
+            key = (np.minimum if above else np.maximum)(key, s.data[rows, c])
+        inside, beyond = key > first, key > last  # some points, or all, lie below the key
+        hist[0] += key.size - np.count_nonzero(inside)
+        hist[size] += np.count_nonzero(beyond)
+        b = np.multiply(beyond, top, out=bucket[rows])  # points below the key
+        mid = np.flatnonzero(np.logical_xor(inside, beyond, out=inside))
+        below = np.searchsorted(points, key[mid])
+        b[mid] = below
+        hist += np.bincount(below, minlength=size + 1)
+        if above:
+            np.subtract(top, b, out=b)
+    return bucket, np.cumsum((hist[::-1] if above else hist)[:size])
 
 
 def _at_or_below(bucket: np.ndarray, size: int):
@@ -232,21 +263,21 @@ def marginal_quantile(s: SampleMatrix, col: int, p: float) -> float:
     return float(vals[rank - r0])
 
 
-def _lower_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, size: int):
+def _lower_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, k):
     """Rungs of the lower estimate at each grid rank: k, j, lo, good and top.
 
-    k rows qualify at a rank.  Where good, its estimate is the mean free
-    value of the j-th of them (a row of j per rank), the first ranked at or
-    above lo; elsewhere _ladder_error names the failure from k and the band
-    top.  A one-point bucket gives scalars and one row of j.
+    k rows qualify at a rank, as the caller counted them.  Where good, its
+    estimate is the mean free value of the j-th of them (a row of j per
+    rank), the first ranked at or above lo; elsewhere _ladder_error names the
+    failure from k and the band top.  A one-point bucket has a scalar k and
+    gives scalars and one row of j.
     """
     a1, a2 = cfg.levels.alpha1, cfg.levels.alpha2
     # every rung, and q2, lies at or above the rank of the alpha1 quantile
     r0, vals, order = s._rank_index(fc, _level_rank(s.n, a1))
-    k = _at_or_below(bucket, size)
     q2 = vals[_level_rank(s.n, a2) - r0]
     end = np.searchsorted(vals, q2, side="right")  # first rank above q2 and its ties
-    top = (k - _at_or_below(bucket[order[end:]], size)) / s.n
+    top = (k - _at_or_below(bucket[order[end:]], np.size(k))) / s.n
     step = (top - a1) / cfg.m
     u = a1 + step[..., None] * np.arange(1, cfg.m + 1)
     j = np.maximum(1, np.ceil(s.n * u - _INDEX_FUZZ).astype(int))
@@ -254,19 +285,18 @@ def _lower_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, size: 
     return k, j, j[..., 0] - 1, good, top
 
 
-def _upper_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, size: int):
+def _upper_ladder(s: SampleMatrix, cfg: EstimatorConfig, fc: int, bucket, k):
     """Rungs of the upper estimate at each grid rank: k, j, lo, good and bottom.
 
     As _lower_ladder, with the band bottom in place of its top.
     """
     a1, a2 = cfg.levels.alpha1, cfg.levels.alpha2
-    k = _at_or_below(bucket, size)
     start, above = 0, k  # qualifying rows ranked above q1 and its ties
     if a1 > 0.0:
         rank = _level_rank(s.n, a1)
         r0, vals, order = s._rank_index(fc, rank)
         end = int(np.searchsorted(vals, vals[rank - r0], side="right"))
-        above = _at_or_below(bucket[order[end:]], size)
+        above = _at_or_below(bucket[order[end:]], np.size(k))
         start = r0 + end
     bottom = 1.0 - above / s.n
     step = (a2 - bottom) / cfg.m
@@ -338,7 +368,7 @@ def emp_upper_var(s: SampleMatrix, v: float, x_fixed, free_index: int = 2) -> fl
 def emp_lower_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: int = 2) -> float:
     """Average of emp_lower_var over an m-point ladder on the clipped band."""
     fc, bucket = _conditioned(s, x_fixed, free_index, above=False)
-    k, j, lo, good, top = _lower_ladder(s, cfg, fc, bucket, 1)
+    k, j, lo, good, top = _lower_ladder(s, cfg, fc, bucket, _at_or_below(bucket, 1))
     if not good:
         raise _ladder_error(False, k, top, cfg.levels)
     return float(_order_stat_means(s, fc, bucket, 0, k, j, int(lo)))
@@ -347,7 +377,7 @@ def emp_lower_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: i
 def emp_upper_rvar(s: SampleMatrix, cfg: EstimatorConfig, x_fixed, free_index: int = 2) -> float:
     """Average of emp_upper_var over an m-point ladder on the clipped band."""
     fc, bucket = _conditioned(s, x_fixed, free_index, above=True)
-    k, j, lo, good, bottom = _upper_ladder(s, cfg, fc, bucket, 1)
+    k, j, lo, good, bottom = _upper_ladder(s, cfg, fc, bucket, _at_or_below(bucket, 1))
     if not good:
         raise _ladder_error(True, k, bottom, cfg.levels)
     return float(_order_stat_means(s, fc, bucket, 0, k, j, int(lo)))
@@ -373,9 +403,9 @@ def _curve(s: SampleMatrix, cfg: EstimatorConfig, grid, free_index: int, above: 
     if grid.ndim != 1 or np.isnan(grid).any():
         raise DomainError("grid must be a 1-dimensional array of numbers")
     points, rank = np.unique(grid, return_inverse=True)
-    bucket = _curve_buckets(s, points, others, above)
+    bucket, k = _curve_buckets(s, points, others, above)
     ladder = _upper_ladder if above else _lower_ladder
-    k, j, lo, good, edge = ladder(s, cfg, fc, bucket, points.size)
+    k, j, lo, good, edge = ladder(s, cfg, fc, bucket, k)
     values = np.full(points.size, np.nan)
     g = np.flatnonzero(good)
     if g.size:

@@ -37,12 +37,14 @@ if TYPE_CHECKING:
 # cancellation in ((-ln p)^(-xi) - 1)/xi costs ~1e-16/|xi| relative error
 XI_ZERO_TOL = 1e-8
 
-# A GEV or exponential band no wider than this fraction of its distance
-# from levels 0 and 1 is averaged by the 21-point Kronrod rule: the quantile
-# is analytic well beyond such a band, so the rule is exact to rounding
-# (<= 6.1e-16 against 40-digit values), while a difference of
-# antiderivatives loses up to 5e-13 on such bands for 0 < |xi| < 1, 5e-11
-# at xi = 1.2 on [0.5, 0.5001], 1e-8 at xi = 0 on [0.95, 0.95 + 1e-8] and
+# A GEV, GPD tail, Weibull or exponential band no wider than this fraction
+# of its distance from levels 0 and 1 is averaged by the 21-point Kronrod
+# rule: the quantile is analytic well beyond such a band, so the rule is
+# exact to rounding (<= 6.1e-16 against 40-digit values), while a difference
+# of antiderivatives loses up to 5e-13 on such bands for 0 < |xi| < 1 in the
+# GEV, 5e-11 at xi = 1.2 on [0.5, 0.5001], 1e-8 at xi = 0 on
+# [0.95, 0.95 + 1e-8], 1.3e-10 for GPDTail(10, 2, 0.25, 0.05) on
+# [0.96, 0.96 + 1e-8], 2.3e-9 for Weibull(1, 1) on [0.5, 0.5 + 1e-8] and
 # 7.4e-15 for the exponential on [0.6, 0.61]
 NARROW_BAND = 0.25
 
@@ -199,10 +201,11 @@ class GEV:
         except OverflowError:
             raise DomainError(f"GEV quantile at -ln p = {t} exceeds the double range") from None
 
-    def quantile_array(self, p: np.ndarray) -> np.ndarray:
+    def quantile_array(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantiles at an array of levels, written into ``out`` if given."""
         import numpy as np
 
-        x = np.log(p)  # ln(-ln p), in place on one buffer
+        x = np.log(p, out=out)  # ln(-ln p), in place on one buffer
         np.negative(x, out=x)
         np.log(x, out=x)
         return _gp_quantile_array(x, self.mu, self.sigma, self.xi)
@@ -317,13 +320,17 @@ class GPDTail:
             return self.u - self.sigma * log_r
         return self.u + self.sigma * math.expm1(-self.xi * log_r) / self.xi
 
-    def quantile_array(self, p: np.ndarray) -> np.ndarray:
+    def quantile_array(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantiles at an array of levels, written into ``out`` if given."""
         import numpy as np
 
         if np.any(p < 1.0 - self.zeta_u * (1.0 + 1e-12)):
             raise DomainError("GPDTail quantile below tail coverage")
-        log_r = np.log(np.minimum(1.0 - p, self.zeta_u) / self.zeta_u)
-        return _gp_quantile_array(log_r, self.u, self.sigma, self.xi)
+        x = np.subtract(1.0, p, out=out)  # ln(min(1 - p, zeta_u) / zeta_u), in place
+        np.minimum(x, self.zeta_u, out=x)
+        x /= self.zeta_u
+        np.log(x, out=x)
+        return _gp_quantile_array(x, self.u, self.sigma, self.xi)
 
     def band_mean(self, a1: float, a2: float):
         """Average quantile over [a1, a2], both levels in the tail."""
@@ -332,6 +339,8 @@ class GPDTail:
                 f"GPDTail levels must reach the tail: need alpha >= "
                 f"{1.0 - self.zeta_u}, got {a1}"
             )
+        if _narrow(a1, a2):  # the two weighted quantiles below cancel on such a band
+            return qk21(self.quantile, a1, a2)[0] / (a2 - a1)
         if a2 >= 1.0 and self.xi >= 1.0:
             return DIVERGES
         width = a2 - a1
@@ -418,13 +427,24 @@ class Weibull:
                 f"Weibull quantile at -ln(1 - p) = {t} exceeds the double range"
             ) from None
 
-    def quantile_array(self, p: np.ndarray) -> np.ndarray:
+    def quantile_array(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantiles at an array of levels, written into ``out`` if given."""
         import numpy as np
 
-        return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
+        x = np.negative(p, out=out)  # scale (-ln(1 - p))^(1/shape), in place
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        x **= 1.0 / self.shape  # the operator, as in x ** e, with its sqrt path at shape 2
+        return np.multiply(self.scale, x, out=x)
 
     def band_mean(self, a1: float, a2: float) -> float:
-        """Average quantile over [a1, a2]: lam (Gamma(1+1/k, t) from t2 to t1) / w."""
+        """Average quantile over [a1, a2]: lam (Gamma(1+1/k, t) from t2 to t1) / w.
+
+        A NARROW_BAND band, where the incomplete gamma tails cancel, is
+        averaged by the Kronrod rule instead.
+        """
+        if _narrow(a1, a2):
+            return qk21(self.quantile, a1, a2)[0] / (a2 - a1)
         s = 1.0 + 1.0 / self.shape
         t1 = -math.log1p(-a1)
         t2 = math.inf if a2 >= 1.0 else -math.log1p(-a2)
@@ -480,10 +500,15 @@ class Exponential:
         _check_prob_open(s, "s")
         return -math.log(s) / self.lam
 
-    def quantile_array(self, p: np.ndarray) -> np.ndarray:
+    def quantile_array(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantiles at an array of levels, written into ``out`` if given."""
         import numpy as np
 
-        return -np.log1p(-p) / self.lam
+        x = np.negative(p, out=out)  # -ln(1 - p) / lam, in place
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        x /= self.lam
+        return x
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: [Gamma(2, t1) - Gamma(2, t2)] / (lam w).
@@ -539,8 +564,12 @@ class Uniform:
         _check_prob_open(s, "s")
         return self.hi - s * (self.hi - self.lo)
 
-    def quantile_array(self, p: np.ndarray) -> np.ndarray:
-        return self.lo + p * (self.hi - self.lo)
+    def quantile_array(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantiles at an array of levels, written into ``out`` if given."""
+        import numpy as np
+
+        x = np.multiply(p, self.hi - self.lo, out=out)
+        return np.add(self.lo, x, out=x)
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: lo + (hi - lo)(a1 + a2)/2."""
@@ -585,9 +614,10 @@ def uni_rvar(m, levels: LevelRange):
     - Uniform(lo, hi): lo + (hi - lo)(alpha1 + alpha2)/2
 
     Gamma(s, t) is the upper incomplete gamma and li the logarithmic
-    integral. A GEV or exponential band no wider than NARROW_BAND times
-    min(alpha1, 1 - alpha2) is averaged by the 21-point Kronrod rule
-    instead. With alpha2 = 1 this is the TVaR and may return DIVERGES.
+    integral. A GEV, GPD tail, Weibull or exponential band no wider than
+    NARROW_BAND times min(alpha1, 1 - alpha2) is averaged by the 21-point
+    Kronrod rule instead. With alpha2 = 1 this is the TVaR and may return
+    DIVERGES.
     """
     return m.band_mean(levels.alpha1, levels.alpha2)
 

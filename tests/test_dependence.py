@@ -290,3 +290,21 @@ def test_sample_size_validation():
     b = BivariateModel(Exponential(1.0), Exponential(2.0), Independence())
     with pytest.raises(DomainError):
         sample(b, 0, seed=1)
+
+
+def test_sample_keeps_its_own_read_only_column_major_buffer():
+    # the margins write straight into the sample's buffer, which it keeps
+    s = sample(BivariateModel(GEV(0.0, 1.0, 0.2), Weibull(2.0, 50.0), Gumbel(1.5)), 1000, seed=2)
+    assert s.data.flags.f_contiguous and s.data.dtype == np.float64
+    assert not s.data.flags.writeable
+    with pytest.raises(ValueError):
+        s.data[0, 0] = 0.0
+
+
+def test_sample_with_a_non_finite_quantile_is_a_domain_error():
+    # the uncopied buffer still passes the sample matrix's finiteness check
+    b = BivariateModel(GEV(0.0, 1e308, 0.5), GEV(0.0, 1.0, 0.0), Independence())
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
+        sample(b, 1000, seed=1)
+    with pytest.raises(DomainError, match="n >= 2"):  # and its shape check
+        sample(BivariateModel(GEV(0.0, 1.0, 0.0), GEV(0.0, 1.0, 0.0), Independence()), 1, seed=1)

@@ -267,6 +267,51 @@ def test_sample_data_is_a_read_only_copy():
         s.data[0, 1] = 50.0
 
 
+def test_sample_matrix_copies_even_a_column_major_float_array():
+    # the public constructor always copies, so no caller can edit a sample
+    # (and stale its rank index) through the array it was built from
+    a = np.asfortranarray(np.arange(8.0).reshape(4, 2))
+    s = SampleMatrix(a)
+    a[:, 1] = 100.0
+    assert not np.shares_memory(s.data, a)
+    np.testing.assert_array_equal(s.data, np.arange(8.0).reshape(4, 2))
+
+
+@st.composite
+def _bucket_cases(draw):
+    n = draw(st.integers(2, 60))
+    d = draw(st.sampled_from([2, 3]))
+    data = np.array(draw(st.lists(st.lists(st.integers(-3, 3).map(float), min_size=d, max_size=d),
+                                  min_size=n, max_size=n)))  # heavy ties
+    # points below, above and on the data values, repeated, one or none
+    point = st.one_of(st.integers(-5, 5).map(float), st.floats(-5.0, 5.0),
+                      st.sampled_from([-math.inf, math.inf]))
+    grid = draw(st.lists(point, max_size=10))
+    grid += draw(st.lists(st.sampled_from(grid), max_size=4)) if grid else []
+    return dict(data=data, points=np.unique(np.array(grid, dtype=float)),
+                free=draw(st.integers(0, d - 1)), chunk=draw(st.sampled_from([1, 3, 16, 1 << 14])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bucket_cases())
+@example(dict(data=np.array([[1.0, 1.0], [2.0, 2.0]]), points=np.array([]), free=1, chunk=1))
+@example(dict(data=np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]]), points=np.array([1.0]),
+              free=1, chunk=1 << 14))
+def test_curve_buckets_match_a_full_search(case):
+    # only the keys inside (first point, last point] are searched; every
+    # row's bucket and every rank's count equal those of searching them all
+    s, points, size = SampleMatrix(case["data"]), case["points"], case["points"].size
+    others = [c for c in range(s.d) if c != case["free"]]
+    for above in (False, True):
+        key = (np.min if above else np.max)(s.data[:, others], axis=1)
+        b = np.searchsorted(points, key)
+        want = (size - b if above else b).astype(np.min_scalar_type(size))
+        with mock.patch.object(empirical, "_CHUNK_CELLS", case["chunk"]):
+            bucket, k = empirical._curve_buckets(s, points, others, above)
+        np.testing.assert_array_equal(bucket, want, strict=True)
+        np.testing.assert_array_equal(k, empirical._at_or_below(want, size), strict=True)
+
+
 def _outcome(fn, *args):
     """Estimate, or the type of the DomainError it raised."""
     try:

@@ -189,6 +189,19 @@ def test_quantile_array_matches_scalar():
     np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
+@pytest.mark.parametrize("m", [
+    GEV(0.0, 1.0, 0.2), GEV(1.5, 3.3, 0.0), GPDTail(10.0, 2.0, 0.25, 1.0), GPDTail(1.0, 0.7, 0.0, 1.0),
+    Weibull(2.0, 50.0), Weibull(0.7, 3.1), Exponential(0.3), Uniform(-1.0, 3.7),
+])
+def test_quantile_array_writes_into_out(m):
+    # a column of a row-major pair, as the sampler passes it, into a column
+    # of a column-major buffer, as the sampler writes it
+    p = np.random.default_rng(4).random((1000, 2))[:, 1]
+    out = np.empty((1000, 2), order="F")[:, 1]
+    assert m.quantile_array(p, out=out) is out
+    np.testing.assert_array_equal(out, m.quantile_array(p), strict=True)
+
+
 def test_means_against_quadrature():
     # mean = integral of the quantile over (0, 1)
     for m in [GEV(0.0, 1.0, 0.3), GEV(1.0, 2.0, -0.4), Weibull(2.0, 50.0),
@@ -349,6 +362,34 @@ def test_exponential_rvar_on_a_narrow_band():
     # gamma tails was off by 7.4e-15 here
     got = uni_rvar(Exponential(1e6), LevelRange(0.6, 0.61))
     assert got == pytest.approx(9.288962204868498795123105e-7, rel=1e-15)
+
+
+@pytest.mark.parametrize("m,a1,a2,want", [
+    # the band average of the quantile at the binary endpoints, mpmath at 40 digits
+    (Weibull(0.5, 1.0), 0.5, 0.50000001, "0.4804530277811453312769258"),
+    (Weibull(0.5, 1.0), 0.95, 0.95000001, "8.974412453959469601588892"),
+    (Weibull(0.5, 1.0), 0.5, 0.5001, "0.4805916659325337397923211"),
+    (Weibull(1.0, 1.0), 0.5, 0.50000001, "0.6931471905599454263314929"),
+    (Weibull(1.0, 1.0), 0.95, 0.95000001, "2.995732373553997274400043"),
+    (Weibull(1.0, 1.0), 0.5, 0.5001, "0.6932471872272787117463526"),
+    (Weibull(2.0, 1.0), 0.5, 0.50000001, "0.8325546171633098416186934"),
+    (Weibull(2.0, 1.0), 0.95, 0.95000001, "1.730818411490355332540441"),
+    (Weibull(2.0, 1.0), 0.5, 0.5001, "0.8326146683940692030143976"),
+    (Weibull(5.0, 1.0), 0.5, 0.50000001, "0.929319592813054823196944"),
+    (Weibull(5.0, 1.0), 0.95, 0.95000001, "1.245376316818215617411563"),
+    (Weibull(5.0, 1.0), 0.5, 0.5001, "0.9293464043514497152392915"),
+    (GPDTail(10.0, 2.0, 0.25, 0.05), 0.96, 0.9601, "10.46161629313262357449217"),
+    (GPDTail(5.0, 2.0, -0.3, 0.1), 0.95, 0.9501, "6.253275954498461089778027"),
+    (GPDTail(10.0, 2.0, 0.25, 0.05), 0.96, 0.960001, "10.45899654208145894175504"),
+    (GPDTail(5.0, 2.0, -0.3, 0.1), 0.95, 0.950001, "6.251666936082166961141362"),
+    (GPDTail(10.0, 2.0, 0.25, 0.05), 0.96, 0.96000001, "10.4589703718673559195173"),
+    (GPDTail(5.0, 2.0, -0.3, 0.1), 0.95, 0.95000001, "6.251650853408916169790512"),
+])
+def test_weibull_and_gpd_rvar_on_narrow_bands(m, a1, a2, want):
+    # differencing the incomplete gamma tails (Weibull) or the weighted
+    # endpoint quantiles (GPD tail) was off by 3.1e-14 to 1.6e-8 here
+    got = uni_rvar(m, LevelRange(a1, a2))
+    assert got == pytest.approx(float(want), rel=4e-15, abs=0.0)
 
 
 def test_weibull_cdf_and_mean_past_the_double_range():
