@@ -173,9 +173,10 @@ def _curve_buckets(s: SampleMatrix, points: np.ndarray, others: list, above: boo
     points if none), so it qualifies at rank g iff its bucket is at most g.
     Every pinned column, listed in ``others``, is held at the grid point, so
     a row is keyed by the largest (lower) or smallest (upper) of them.  Two
-    comparisons place a key at or below the first point or above the last;
-    only the keys in between are searched in the grid, and counted by the
-    number of points below them, block by block.
+    comparisons place a key at or below the first point or above the last,
+    and only the keys in between are searched in the grid.  The same pass
+    counts the rows by the number of points below their key, which gives
+    every rank's count.
     """
     size = points.size
     if size == 0:
@@ -191,7 +192,7 @@ def _curve_buckets(s: SampleMatrix, points: np.ndarray, others: list, above: boo
         inside, beyond = key > first, key > last  # some points, or all, lie below the key
         hist[0] += key.size - np.count_nonzero(inside)
         hist[size] += np.count_nonzero(beyond)
-        b = np.multiply(beyond, top, out=bucket[rows])  # points below the key
+        b = np.multiply(beyond, top, out=bucket[rows])  # points below the key: none or all
         mid = np.flatnonzero(np.logical_xor(inside, beyond, out=inside))
         below = np.searchsorted(points, key[mid])
         b[mid] = below
