@@ -326,11 +326,8 @@ class GPDTail:
 
         if np.any(p < 1.0 - self.zeta_u * (1.0 + 1e-12)):
             raise DomainError("GPDTail quantile below tail coverage")
-        x = np.subtract(1.0, p, out=out)  # ln(min(1 - p, zeta_u) / zeta_u), in place
-        np.minimum(x, self.zeta_u, out=x)
-        x /= self.zeta_u
-        np.log(x, out=x)
-        return _gp_quantile_array(x, self.u, self.sigma, self.xi)
+        log_r = np.log(np.minimum(1.0 - p, self.zeta_u) / self.zeta_u, out=out)
+        return _gp_quantile_array(log_r, self.u, self.sigma, self.xi)
 
     def band_mean(self, a1: float, a2: float):
         """Average quantile over [a1, a2], both levels in the tail."""
@@ -431,11 +428,7 @@ class Weibull:
         """Quantiles at an array of levels, written into ``out`` if given."""
         import numpy as np
 
-        x = np.negative(p, out=out)  # scale (-ln(1 - p))^(1/shape), in place
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
-        x **= 1.0 / self.shape  # the operator, as in x ** e, with its sqrt path at shape 2
-        return np.multiply(self.scale, x, out=x)
+        return np.multiply(self.scale, (-np.log1p(-p)) ** (1.0 / self.shape), out=out)
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: lam (Gamma(1+1/k, t) from t2 to t1) / w.
@@ -504,11 +497,7 @@ class Exponential:
         """Quantiles at an array of levels, written into ``out`` if given."""
         import numpy as np
 
-        x = np.negative(p, out=out)  # -ln(1 - p) / lam, in place
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
-        x /= self.lam
-        return x
+        return np.divide(-np.log1p(-p), self.lam, out=out)
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: [Gamma(2, t1) - Gamma(2, t2)] / (lam w).
@@ -568,8 +557,7 @@ class Uniform:
         """Quantiles at an array of levels, written into ``out`` if given."""
         import numpy as np
 
-        x = np.multiply(p, self.hi - self.lo, out=out)
-        return np.add(self.lo, x, out=x)
+        return np.add(self.lo, p * (self.hi - self.lo), out=out)
 
     def band_mean(self, a1: float, a2: float) -> float:
         """Average quantile over [a1, a2]: lo + (hi - lo)(a1 + a2)/2."""
