@@ -14,10 +14,11 @@ rank 0, a full sort, so no column is sorted more than twice.  An estimate
 gives each row a bucket, the first grid point at which the row is
 conditioned: one pinned point compares the pinned columns with it, and a
 curve, whose conditioned sets are nested along the grid, places a row at
-or below its first point or above its last by two comparisons and
-searches the grid only for the rows in between, counting each point's
-conditioned rows in the same pass.  Every grid point's order statistics
-then come from the buckets in rank order, without sorting.
+or below its first point or above its last by two comparisons and, where
+such rows are most of a block, searches the grid only for the rows in
+between, counting each point's conditioned rows in the same pass.  Every
+grid point's order statistics then come from the buckets in rank order,
+without sorting.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ def _curve_buckets(s: SampleMatrix, points: np.ndarray, others: list, above: boo
     points if none), so it qualifies at rank g iff its bucket is at most g.
     Every pinned column, listed in ``others``, is held at the grid point, so
     a row is keyed by the largest (lower) or smallest (upper) of them.  Two
-    comparisons place a key at or below the first point or above the last,
-    and only the keys in between are searched in the grid.  The same pass
-    counts the rows by the number of points below their key, which gives
-    every rank's count.
+    comparisons place a key at or below the first point or above the last;
+    in a block of rows where these are most keys, only the keys in between
+    are searched in the grid, and in any other block all are.  The same
+    pass counts the rows by the number of points below their key, which
+    gives every rank's count.
     """
     size = points.size
     if size == 0:
@@ -190,10 +192,14 @@ def _curve_buckets(s: SampleMatrix, points: np.ndarray, others: list, above: boo
         for c in others[1:]:
             key = (np.minimum if above else np.maximum)(key, s.data[rows, c])
         inside, beyond = key > first, key > last  # some points, or all, lie below the key
-        hist[0] += key.size - np.count_nonzero(inside)
-        hist[size] += np.count_nonzero(beyond)
-        b = np.multiply(beyond, top, out=bucket[rows])  # points below the key: none or all
-        mid = np.flatnonzero(np.logical_xor(inside, beyond, out=inside))
+        n_in, n_beyond = np.count_nonzero(inside), np.count_nonzero(beyond)
+        if 2 * (n_in - n_beyond) > key.size:  # most keys between: search them all
+            b, mid = bucket[rows], slice(None)
+        else:
+            hist[0] += key.size - n_in
+            hist[size] += n_beyond
+            b = np.multiply(beyond, top, out=bucket[rows])  # points below the key: none or all
+            mid = np.flatnonzero(np.logical_xor(inside, beyond, out=inside))
         below = np.searchsorted(points, key[mid])
         b[mid] = below
         hist += np.bincount(below, minlength=size + 1)

@@ -298,7 +298,8 @@ def _bucket_cases(draw):
 @example(dict(data=np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]]), points=np.array([1.0]),
               free=1, chunk=1 << 14))
 def test_curve_buckets_match_a_full_search(case):
-    # only the keys inside (first point, last point] are searched; every
+    # a block whose keys mostly lie outside (first point, last point]
+    # searches only those inside, any other block searches them all; every
     # row's bucket and every rank's count equal those of searching them all
     s, points, size = SampleMatrix(case["data"]), case["points"], case["points"].size
     others = [c for c in range(s.d) if c != case["free"]]
