@@ -113,7 +113,7 @@ def _merge_config(cfg: RunConfig, path: str) -> RunConfig:
     return replace(cfg, **{k: v for k, v in kv.items() if getattr(cfg, k) is None})
 
 
-# family -> (model class, parameter keys in constructor order)
+# family -> (model constructor, parameter keys in constructor order)
 _MARGINS = {
     "gev": (GEV, ("mu", "sigma", "xi")),
     "gpd": (GPDTail, ("u", "sigma", "xi", "zeta")),

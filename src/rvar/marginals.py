@@ -1,13 +1,13 @@
 """Univariate distribution models and risk measures.
 
-Models: GEV, GPD tail (peaks-over-threshold form), Weibull, Exponential,
-Uniform. Measures: VaR (quantile), TVaR, RVaR, and the TVaR/VaR ratio
-with its shape-driven limit.
+Models: GEV, GPD tail (peaks-over-threshold form), Weibull, Uniform, and
+Exponential(lam), a constructor for Weibull(1, 1/lam). Measures: VaR
+(quantile), TVaR, RVaR, and the TVaR/VaR ratio with its shape-driven limit.
 
 RVaR over [a1, a2] is the average of the quantile over that level range.
 Every family has it in closed form (``band_mean``): incomplete gamma and
-logarithmic integral expressions for GEV, Weibull and the exponential,
-elementary ones for the GPD tail and the uniform.
+logarithmic integral expressions for GEV and Weibull, elementary ones for
+the GPD tail and the uniform.
 
 Divergent tail expectations are reported by the DIVERGES marker, a typed
 singleton distinct from every float; callers test with is_divergent().
@@ -24,9 +24,10 @@ from .errors import DomainError
 from .specfun import (
     EULER_GAMMA,
     LOG_BAND_ORDER,
+    _lower_gamma_series,
     incomplete_gamma_band,
     log_incomplete_gamma_band,
-    log_integral,
+    loglog_band,
     upper_incomplete_gamma,
 )
 
@@ -37,15 +38,15 @@ if TYPE_CHECKING:
 # cancellation in ((-ln p)^(-xi) - 1)/xi costs ~1e-16/|xi| relative error
 XI_ZERO_TOL = 1e-8
 
-# A GEV, GPD tail, Weibull or exponential band no wider than this fraction
-# of its distance from levels 0 and 1 is averaged by the 21-point Kronrod
-# rule: the quantile is analytic well beyond such a band, so the rule is
-# exact to rounding (<= 6.1e-16 against 40-digit values), while a difference
-# of antiderivatives loses up to 5e-13 on such bands for 0 < |xi| < 1 in the
-# GEV, 5e-11 at xi = 1.2 on [0.5, 0.5001], 1e-8 at xi = 0 on
-# [0.95, 0.95 + 1e-8], 1.3e-10 for GPDTail(10, 2, 0.25, 0.05) on
+# A GEV, GPD tail or Weibull (the exponential included) band no wider than
+# this fraction of its distance from levels 0 and 1 is averaged by the
+# 21-point Kronrod rule: the quantile is analytic well beyond such a band,
+# so the rule is exact to rounding (<= 6.1e-16 against 40-digit values),
+# while a difference of antiderivatives loses up to 5e-13 on such bands for
+# 0 < |xi| < 1 in the GEV, 5e-11 at xi = 1.2 on [0.5, 0.5001], 1e-8 at
+# xi = 0 on [0.95, 0.95 + 1e-8], 1.3e-10 for GPDTail(10, 2, 0.25, 0.05) on
 # [0.96, 0.96 + 1e-8], 2.3e-9 for Weibull(1, 1) on [0.5, 0.5 + 1e-8] and
-# 7.4e-15 for the exponential on [0.6, 0.61]
+# 7.4e-15 for Weibull(1, 1e-6) on [0.6, 0.61]
 NARROW_BAND = 0.25
 
 
@@ -219,8 +220,7 @@ class GEV:
         if abs(self.xi) < XI_ZERO_TOL:
             if a2 >= 1.0:
                 return DIVERGES  # li(x) singularity at x = 1
-            bracket = _xlnln(a2) - _xlnln(a1) - log_integral(a2) + log_integral(a1)
-            return self.mu - self.sigma / width * bracket
+            return self.mu - self.sigma / width * loglog_band(a1, a2)
         if a2 >= 1.0 and self.xi >= 1.0:
             return DIVERGES
         t2 = 0.0 if a2 >= 1.0 else -math.log(a2)
@@ -441,6 +441,12 @@ class Weibull:
         s = 1.0 + 1.0 / self.shape
         t1 = -math.log1p(-a1)
         t2 = math.inf if a2 >= 1.0 else -math.log1p(-a2)
+        if t2 <= 1.0:
+            # near level 0 the lower gamma t^s e^(-t) S(s, t) underflows before
+            # the mean, of size t^(1/k), does: take t2^s out of the band
+            lower = lambda t: math.exp(-t) * _lower_gamma_series(s, t)
+            band = lower(t2) - (t1 / t2) ** s * lower(t1)
+            return self.scale * t2 ** (1.0 / self.shape) * band * (t2 / (a2 - a1))
         if s < LOG_BAND_ORDER:
             return self.scale * incomplete_gamma_band(s, t1, t2) / (a2 - a1)
         # levels below 1 give t1 <= 36.7 < s, where the log form holds
@@ -466,61 +472,11 @@ class Weibull:
         return self.scale
 
 
-@dataclass(frozen=True)
-class Exponential:
-    """Exponential law with rate lam."""
-
-    lam: float
-
-    def __post_init__(self):
-        _require_finite(self)
-        if self.lam <= 0:
-            raise DomainError(f"Exponential rate must be > 0, got {self.lam}")
-
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return -math.expm1(-self.lam * x)
-
-    def pdf(self, x: float) -> float:
-        return self.lam * math.exp(-self.lam * x) if x >= 0 else 0.0
-
-    def quantile(self, p: float) -> float:
-        _check_prob_open(p)
-        return -math.log1p(-p) / self.lam
-
-    def sf_quantile(self, s: float) -> float:
-        _check_prob_open(s, "s")
-        return -math.log(s) / self.lam
-
-    def quantile_array(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Quantiles at an array of levels, written into ``out`` if given."""
-        import numpy as np
-
-        return np.divide(-np.log1p(-p), self.lam, out=out)
-
-    def band_mean(self, a1: float, a2: float) -> float:
-        """Average quantile over [a1, a2]: [Gamma(2, t1) - Gamma(2, t2)] / (lam w).
-
-        Gamma(2, t) = (1 + t)(1 - a); incomplete_gamma_band differences it
-        on the side that keeps narrow bands near level 0 accurate. A
-        NARROW_BAND band is averaged by the Kronrod rule instead.
-        """
-        if _narrow(a1, a2):
-            return qk21(self.quantile, a1, a2)[0] / (a2 - a1)
-        t1 = -math.log1p(-a1)
-        t2 = math.inf if a2 >= 1.0 else -math.log1p(-a2)
-        return incomplete_gamma_band(2.0, t1, t2) / (self.lam * (a2 - a1))
-
-    def mean(self) -> float:
-        return 1.0 / self.lam
-
-    def support(self):
-        return (0.0, math.inf)
-
-    @property
-    def typical_scale(self) -> float:
-        return 1.0 / self.lam
+def Exponential(lam: float) -> Weibull:
+    """The exponential law with rate lam, which is Weibull(1, 1/lam)."""
+    if not (math.isfinite(lam) and lam > 0 and math.isfinite(1.0 / lam)):
+        raise DomainError(f"Exponential rate lam and 1/lam must be finite and > 0, got {lam}")
+    return Weibull(1.0, 1.0 / lam)
 
 
 @dataclass(frozen=True)
@@ -580,13 +536,6 @@ def uni_var(m, alpha: float) -> float:
     return m.quantile(alpha)
 
 
-def _xlnln(a: float) -> float:
-    """a * ln(-ln a) with the a -> 0+ limit value 0."""
-    if a == 0.0:
-        return 0.0
-    return a * math.log(-math.log(a))
-
-
 def uni_rvar(m, levels: LevelRange):
     """Average of VaR_u over u in [alpha1, alpha2], in closed form.
 
@@ -596,15 +545,15 @@ def uni_rvar(m, levels: LevelRange):
       at xi = 0, mu - sigma/w [a ln(-ln a) - li(a)] taken from alpha1 to alpha2
     - GPDTail(u, sigma, xi, zeta_u): [(1-alpha1) VaR_alpha1 - (1-alpha2) VaR_alpha2]
       / (w (1-xi)) + (sigma - xi u)/(1-xi), for alpha1 >= 1 - zeta_u
-    - Weibull(k, lam): lam [Gamma(1+1/k, t1) - Gamma(1+1/k, t2)] / w
-    - Exponential(lam): [(1+t1)(1-alpha1) - (1+t2)(1-alpha2)] / (lam w),
-      which is [Gamma(2, t1) - Gamma(2, t2)] / (lam w)
+    - Weibull(k, lam): lam [Gamma(1+1/k, t1) - Gamma(1+1/k, t2)] / w; the
+      exponential with rate r is Weibull(1, 1/r), where Gamma(2, t) is
+      (1+t) e^(-t)
     - Uniform(lo, hi): lo + (hi - lo)(alpha1 + alpha2)/2
 
     Gamma(s, t) is the upper incomplete gamma and li the logarithmic
-    integral. A GEV, GPD tail, Weibull or exponential band no wider than
-    NARROW_BAND times min(alpha1, 1 - alpha2) is averaged by the 21-point
-    Kronrod rule instead. With alpha2 = 1 this is the TVaR and may return
+    integral. A GEV, GPD tail or Weibull band no wider than NARROW_BAND
+    times min(alpha1, 1 - alpha2) is averaged by the 21-point Kronrod rule
+    instead. With alpha2 = 1 this is the TVaR and may return
     DIVERGES.
     """
     return m.band_mean(levels.alpha1, levels.alpha2)

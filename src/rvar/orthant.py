@@ -53,9 +53,9 @@ from .errors import (
 from .marginals import (
     DIVERGES,
     GEV,
-    Exponential,
     GPDTail,
     LevelRange,
+    Weibull,
     XI_ZERO_TOL,
     is_divergent,
 )
@@ -404,29 +404,14 @@ def closed_upper_rvar_gev_indep(
     return _band_mapped_rvar(Independence(), b, levels, x_fixed, fixed_index, upper=True)
 
 
-_COPULA_KINDS = {Independence(): "pi", Comonotone(): "m", Countermonotone(): "w"}
-
-
 def closed_lower_rvar_exponential(
-    b: BivariateModel,
-    levels: LevelRange,
-    x_fixed: float,
-    copula_kind: str | None = None,
-    fixed_index: int = 1,
+    b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1
 ) -> float:
-    """Closed-form lower orthant RVaR for exponential margins under Pi, M or W."""
-    fixed_m, free_m = _margins(b, fixed_index)
-    if not isinstance(fixed_m, Exponential) or not isinstance(free_m, Exponential):
-        raise DomainError("closed form requires exponential margins")
-    inferred = _COPULA_KINDS.get(b.copula)
-    if inferred is None:
+    """Closed-form lower orthant RVaR for exponential margins (shape-1 Weibull) under Pi, M or W."""
+    if not all(isinstance(m, Weibull) and m.shape == 1.0 for m in _margins(b, fixed_index)):
+        raise DomainError("closed form requires exponential margins, Weibull(1, 1/lam)")
+    if not _has_affine_level_map(b.copula):
         raise DomainError("closed form requires the Pi, M or W copula")
-    if copula_kind is not None:
-        wanted = copula_kind.strip().lower()
-        if wanted not in _COPULA_KINDS.values():
-            raise DomainError(f"unknown copula kind {copula_kind!r}")
-        if wanted != inferred:
-            raise DomainError(f"model copula is {inferred!r}, not {wanted!r}")
     return _band_mapped_rvar(b.copula, b, levels, x_fixed, fixed_index, upper=False)
 
 
@@ -518,29 +503,26 @@ def comonotonic_aggregate_rvar(
     fixed_total: float,
     fixed_index: int = 1,
     kind: str = "lower",
-    check: bool = True,
 ):
     """Lower (or upper) orthant RVaR of sums of comonotonic components.
 
     Each component is a bivariate model; coordinate ``fixed_index`` across
     components must be comonotonic, and likewise the free coordinates.
     The aggregate measure at a fixed total decomposes into per-component
-    measures evaluated at matching quantile points. ``check`` asks that
-    every component have the same copula, Gumbel(1) counting as Pi: each
-    coordinate is then one increasing map of shared uniforms.
+    measures evaluated at matching quantile points. Every component must
+    have the same copula, Gumbel(1) counting as Pi: each coordinate is then
+    one increasing map of shared uniforms.
     """
     components = list(components)
     if not components:
         raise DomainError("need at least one component")
     if kind not in ("lower", "upper"):
         raise DomainError(f"kind must be 'lower' or 'upper', got {kind!r}")
-    if check:
-        copulas = {Independence() if _is_independent(c.copula) else c.copula for c in components}
-        if len(copulas) > 1:
-            raise ComonotonicityError(
-                "components have different copulas; aggregation requires "
-                "comonotonic classes"
-            )
+    copulas = {Independence() if _is_independent(c.copula) else c.copula for c in components}
+    if len(copulas) > 1:
+        raise ComonotonicityError(
+            "components have different copulas; aggregation requires comonotonic classes"
+        )
     fixed_margins = [_margins(comp, fixed_index)[0] for comp in components]
 
     def total_quantile(p: float) -> float:

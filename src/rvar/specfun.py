@@ -194,20 +194,25 @@ def _regularized_pq(s: float, x: float) -> tuple[float, float]:
     return 1.0 - q, q
 
 
+def _e1_series(x: float) -> list:
+    """The terms of sum_{k>=1} (-x)^k / (k k!), the power series part of E1(x)."""
+    terms = []
+    term = 1.0
+    k = 0
+    while abs(term) > 1e-18:
+        k += 1
+        term *= -x / k
+        terms.append(term / k)
+    return terms
+
+
 def _exp1(x: float) -> float:
     """E1(x) for x > 0: power series up to x = 1.5, continued fraction beyond."""
     if x > 1.5:
         return _upper_gamma_cf(0.0, x) * math.exp(-x)
     # E1(x) = -gamma - ln x - sum_{k>=1} (-x)^k / (k k!), added exactly: the
     # parts cancel to E1(1.5) = 0.1 from magnitudes near 1
-    parts = [-EULER_GAMMA, -math.log(x)]
-    term = 1.0
-    k = 0
-    while abs(term) > 1e-18:
-        k += 1
-        term *= -x / k
-        parts.append(-term / k)
-    return math.fsum(parts)
+    return math.fsum([-EULER_GAMMA, -math.log(x)] + [-term for term in _e1_series(x)])
 
 
 def upper_incomplete_gamma(s: float, a: float) -> float:
@@ -302,6 +307,27 @@ def log_integral(x: float) -> float:
         return 0.0
     # substitute t = e^{-w}: li(x) = -E1(-ln x)
     return -_exp1(-math.log(x))
+
+
+def loglog_band(a1: float, a2: float) -> float:
+    """Integral of ln(-ln p) over [a1, a2], for 0 <= a1 < a2 < 1.
+
+    In t = -ln p: the upper tail a ln t + E1(t) differenced between the
+    ends. Near p = 1 its two terms cancel from size ln t to -gamma, so up to
+    t = 1/4 the tail is -gamma minus the lower integral, -expm1(-t) ln t plus
+    E1's power series part, and a band with both ends there differences the
+    lower integral alone.
+    """
+
+    def lower(t):
+        return -math.expm1(-t) * math.log(t) + math.fsum(_e1_series(t))
+
+    t1 = math.inf if a1 == 0.0 else -math.log(a1)
+    t2 = -math.log(a2)
+    if t1 <= 0.25:
+        return lower(t1) - lower(t2)
+    top = -EULER_GAMMA - lower(t2) if t2 <= 0.25 else a2 * math.log(t2) + _exp1(t2)
+    return top - (a1 * math.log(t1) + _exp1(t1) if a1 > 0.0 else 0.0)
 
 
 def exp_integral_e1(x: float) -> float:

@@ -28,7 +28,7 @@ from rvar.errors import (
     EmptyConditioningError,
     InfeasibleLevelError,
 )
-from rvar.marginals import DIVERGES, GEV, XI_ZERO_TOL, Exponential, LevelRange
+from rvar.marginals import DIVERGES, GEV, XI_ZERO_TOL, LevelRange, Weibull
 from rvar.orthant import DEGENERACY_TOL, _check_x_fixed, _margins
 from rvar.specfun import exp_integral_e1, upper_incomplete_gamma
 
@@ -430,20 +430,16 @@ def _xlogx(t: float) -> float:
     return 0.0 if t <= 0.0 else t * math.log(t)
 
 
-_COPULA_KINDS = {"pi": Independence, "m": Comonotone, "w": Countermonotone}
-
-
 def closed_lower_rvar_exponential(
-    b: BivariateModel,
-    levels: LevelRange,
-    x_fixed: float,
-    copula_kind: str | None = None,
-    fixed_index: int = 1,
+    b: BivariateModel, levels: LevelRange, x_fixed: float, fixed_index: int = 1
 ) -> float:
-    """Closed-form lower orthant RVaR for exponential margins under Pi, M or W."""
+    """Closed-form lower orthant RVaR for exponential margins under Pi, M or W.
+
+    An exponential margin is a shape-1 Weibull; its rate is 1 / scale.
+    """
     _check_x_fixed(x_fixed)
     fixed_m, free_m = _margins(b, fixed_index)
-    if not isinstance(fixed_m, Exponential) or not isinstance(free_m, Exponential):
+    if not all(isinstance(m, Weibull) and m.shape == 1.0 for m in (fixed_m, free_m)):
         raise DomainError("closed form requires exponential margins")
     if isinstance(b.copula, Independence):
         inferred = "pi"
@@ -453,15 +449,9 @@ def closed_lower_rvar_exponential(
         inferred = "w"
     else:
         raise DomainError("closed form requires the Pi, M or W copula")
-    if copula_kind is not None:
-        wanted = copula_kind.strip().lower()
-        if wanted not in _COPULA_KINDS:
-            raise DomainError(f"unknown copula kind {copula_kind!r}")
-        if wanted != inferred:
-            raise DomainError(f"model copula is {inferred!r}, not {wanted!r}")
     a1, a2 = levels.alpha1, levels.alpha2
     ff = fixed_m.cdf(x_fixed)
-    lam = free_m.lam
+    lam = 1.0 / free_m.scale
     if inferred == "m":
         bm = min(ff, a2)
         if bm <= a1 + DEGENERACY_TOL:

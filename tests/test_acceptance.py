@@ -180,7 +180,7 @@ def test_ac04_orthant_boundary_limits():
 
 def _mc_margin_tools(m1, m2):
     """Fresh cdf/quantile closures for the MC oracle, not the package's."""
-    if isinstance(m1, Weibull):
+    if m1 == Weibull(2.0, 50.0):
         f1 = lambda x: -math.expm1(-((x / 50.0) ** 2))
         f2 = lambda y: -math.expm1(-((y / 150.0) ** 2))
         q2 = lambda p: orc.weibull_quantile(2.0, 150.0, p)

@@ -1,9 +1,12 @@
 """Marginal families and univariate risk measures."""
 
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
@@ -34,7 +37,8 @@ ALL_MODELS = [
     GPDTail(5.0, 2.0, 0.25, 0.1),
     GPDTail(0.0, 1.0, -0.3, 0.05),
     Weibull(2.0, 50.0),
-    Exponential(0.5),
+    # Weibull(1, 2), named by the constructor that built it
+    pytest.param(Exponential(0.5), id="ExponentialExponential(lam=0.5)"),
     Uniform(-1.0, 3.0),
 ]
 
@@ -384,12 +388,76 @@ def test_exponential_rvar_on_a_narrow_band():
     (GPDTail(5.0, 2.0, -0.3, 0.1), 0.95, 0.950001, "6.251666936082166961141362"),
     (GPDTail(10.0, 2.0, 0.25, 0.05), 0.96, 0.96000001, "10.4589703718673559195173"),
     (GPDTail(5.0, 2.0, -0.3, 0.1), 0.95, 0.95000001, "6.251650853408916169790512"),
+    # the exponential with rate 3, Weibull(1, 1/3): its scale is rounded
+    (Exponential(3.0), 0.5, 0.50000001, "0.2310490635199818087771642926845299585608"),
+    (Exponential(3.0), 0.95, 0.95000001, "0.9985774578513324248000143071063005798859"),
+    (Exponential(3.0), 0.5, 0.5001, "0.2310823957424262372487841886413400489218"),
 ])
 def test_weibull_and_gpd_rvar_on_narrow_bands(m, a1, a2, want):
     # differencing the incomplete gamma tails (Weibull) or the weighted
     # endpoint quantiles (GPD tail) was off by 3.1e-14 to 1.6e-8 here
     got = uni_rvar(m, LevelRange(a1, a2))
     assert got == pytest.approx(float(want), rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m,a1,a2,want", [
+    # the band average of the quantile at the binary endpoints, mpmath at 60
+    # digits (a Weibull's exponent is the double 1/k its quantile uses)
+    (GEV(0.0, 1.0, 0.0), 0.99, 0.999, "5.346569654630656604433829970881317354069"),
+    (GEV(0.0, 1.0, 0.0), 1 - 3e-12, 1 - 2e-12, "26.72147974185672852772519336365174477857"),
+    (GEV(0.0, 1.0, 0.0), 0.5, 1 - 2**-53, "1.545260495343569311518781957377910643949"),
+    (GEV(0.0, 1.0, 0.0), 0.9, 1 - 1e-15, "3.27685753743824825279202164209708189079"),
+    (Weibull(1.0, 1.0), 1e-300, 1e-299, "5.499999999999999972044083924486278653252e-300"),
+    (Weibull(1.0, 1.0), 0.0, 1e-200, "4.999999999999999910501311995413797980272e-201"),
+    (Weibull(2.0, 1.0), 1e-250, 1e-249, "2.268353822346947714577542104023798515647e-125"),
+    (Weibull(0.5, 3.0), 1e-120, 1e-110, "1.000000000100000102453926964063269159135e-220"),
+])
+def test_rvar_on_wide_bands_next_to_level_0_and_1(m, a1, a2, want):
+    # at xi = 0, a ln(-ln a) - li(a) tends to -gamma from terms of size
+    # ln(-ln a), which cancelled 6.6e-15 and 1.2e-4 of the first two bands,
+    # and li refused levels above 1 - 1e-12; a Weibull band's lower gamma
+    # t^s e^(-t) S(s, t) underflowed to 0 below t^s ~ 1e-308
+    got = uni_rvar(m, LevelRange(a1, a2))
+    assert got == pytest.approx(float(want), rel=4e-15, abs=0.0)
+
+
+@st.composite
+def _law_and_levels(draw):
+    """A law and three sorted levels, from 1e-12 up (from 1 - zeta_u for a GPD tail)."""
+    family = draw(st.sampled_from(["gev", "gpd", "weibull", "uniform"]))
+    loc, scale = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.1, 10.0))
+    floor = 1e-12
+    if family == "gev":
+        m = GEV(loc, scale, draw(st.floats(-0.5, 0.9) | st.floats(-1e-8, 1e-8)))
+    elif family == "gpd":
+        m = GPDTail(loc, scale, draw(st.floats(-0.5, 0.9)), draw(st.floats(0.01, 1.0)))
+        floor = max(floor, 1.0 - m.zeta_u)
+    elif family == "weibull":
+        m = Weibull(draw(st.just(1.0) | st.floats(0.5, 5.0)), 10.0 * scale)
+    else:
+        m = Uniform(loc, loc + scale)
+    levels = st.floats(floor, 1.0, exclude_max=True)
+    return m, sorted(draw(st.lists(levels, min_size=3, max_size=3, unique=True)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_law_and_levels())
+@example((GEV(0.0, 1.0, 0.0), [0.5, 0.75, 1 - 2**-53]))  # li refused the top level
+def test_rvar_lies_between_the_vars_and_grows_with_each_level(case):
+    # VaR_a1 <= RVaR[a1, a2] <= VaR_a2, and RVaR[a1, a2] is non-decreasing in
+    # each level, within 4e-15 of the larger value or the law's scale: where
+    # the values pass through 0, location and scale cancel in the quantile
+    # itself. Levels start at 1e-12: below it a GEV band mean recomputes
+    # e^(-t) from t = -ln a, which costs t ulps, and a narrow Weibull band's
+    # Kronrod integral, of size w Q, underflows (ROADMAP defect 5)
+    m, (a, b, c) = case
+    tol = lambda x, y: 4e-15 * max(abs(x), abs(y), m.typical_scale)
+    var = {p: uni_var(m, p) for p in (a, b, c)}
+    rvar = {(p, q): uni_rvar(m, LevelRange(p, q)) for p, q in ((a, b), (a, c), (b, c))}
+    for (p, q), r in rvar.items():
+        assert var[p] - tol(var[p], r) <= r <= var[q] + tol(r, var[q]), (p, q)
+    assert rvar[a, b] <= rvar[a, c] + tol(rvar[a, b], rvar[a, c])
+    assert rvar[a, c] <= rvar[b, c] + tol(rvar[a, c], rvar[b, c])
 
 
 def test_weibull_cdf_and_mean_past_the_double_range():
@@ -434,6 +502,47 @@ def test_out_of_range_band_means_are_domain_errors():
         uni_rvar(Weibull(0.001, 1.0), LevelRange(0.5, 0.9))
     with pytest.raises(DomainError):
         uni_var(Weibull(0.001, 1.0), 0.9)
+
+
+EXP_RATES = [1e-6, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e6]
+
+
+@pytest.mark.parametrize("lam", EXP_RATES)
+def test_exponential_is_the_unit_shape_weibull(lam):
+    m = Exponential(lam)
+    assert m == Weibull(1.0, 1.0 / lam)
+    rel = lambda got, want: abs(got - want) / want
+    for p in _PDF_LEVELS:
+        x = -math.log1p(-p) / lam
+        assert rel(m.quantile(p), x) <= 4.4e-16, p
+        assert rel(m.sf_quantile(p), -math.log(p) / lam) <= 4.4e-16, p
+        assert rel(m.cdf(x), -math.expm1(-lam * x)) <= 4.4e-16, p
+        # e^-(x / scale) multiplies the rounding of scale = 1/lam by x / scale,
+        # which is at most 13.8 at these levels
+        assert rel(m.pdf(x), lam * math.exp(-lam * x)) <= 1e-14, p
+
+
+@pytest.mark.parametrize("lam", EXP_RATES)
+@pytest.mark.parametrize("a1,a2,mean", [
+    # the band average of -ln(1 - p), ((1 - p) ln(1 - p) + p) differenced
+    # over the band, at the binary endpoints; mpmath at 50 digits
+    (0.5, 0.9, "1.290787702451420271933080249955352930442"),
+    (0.9, 0.99, "3.04674230488359619337142890475004649182"),
+    (0.99, 1.0, "5.605170185988090479857563209243890506749"),
+])
+def test_exponential_rvar_on_wide_bands(lam, a1, a2, mean):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = float(decimal.Decimal(mean) / decimal.Decimal(lam))
+    got = uni_rvar(Exponential(lam), LevelRange(a1, a2))
+    assert got == pytest.approx(want, rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0, 5e-324])
+def test_exponential_rejects_rates_without_a_finite_scale(lam):
+    # 1 / 5e-324 overflows to inf
+    with pytest.raises(DomainError, match="rate"):
+        Exponential(lam)
 
 
 def test_exponential_tvar_closed_identity():
